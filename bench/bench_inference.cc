@@ -1,8 +1,8 @@
 // Inference engine bench (E31): steady-state allocation counts and batch-1
 // latency of the arena-planned engine vs the training forward, im2col vs
-// direct convolution, int8 vs fp32 dense GEMM at equal shapes, and the
-// micro-batching throughput/p99 frontier. Results land in
-// BENCH_inference.json.
+// direct convolution, the engine's int8 (q8-block) vs fp32 dense GEMM at
+// equal shapes, and the micro-batching throughput/p99 frontier of a
+// one-worker Server. Results land in BENCH_inference.json.
 //
 // Standalone binary (not google-benchmark): it installs a global
 // operator new hook to count heap allocations, which must not race with a
@@ -11,23 +11,25 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/compress/quantization.h"
 #include "src/core/metrics.h"
 #include "src/core/rng.h"
-#include "src/infer/batcher.h"
-#include "src/obs/counters.h"
 #include "src/infer/engine.h"
 #include "src/nn/layers.h"
 #include "src/nn/train.h"
 #include "src/runtime/runtime.h"
+#include "src/serve/registry.h"
+#include "src/serve/server.h"
 #include "src/tensor/int8_gemm.h"
 #include "src/tensor/ops.h"
 
@@ -200,10 +202,13 @@ ConvAlgoRow BenchConvAlgo() {
 struct GemmRow {
   int64_t m = 0, k = 0, n = 0;
   double fp32_ms = 0.0;
-  double int8_ms = 0.0;       ///< integer GEMM alone
-  double int8_full_ms = 0.0;  ///< quantize + GEMM + requantize epilogue
+  double int8_ms = 0.0;       ///< q8-block GEMM alone
+  double int8_full_ms = 0.0;  ///< activation quantization + q8-block GEMM
 };
 
+/// The engine's int8 dense path: weights stored as q8 blocks, activations
+/// block-quantized on the fly, dequantization fused into the GEMM (fp32
+/// out, so there is no separate requantization epilogue).
 GemmRow BenchInt8Gemm() {
   Rng rng(53);
   GemmRow row;
@@ -227,27 +232,21 @@ GemmRow BenchInt8Gemm() {
   for (int64_t j = 0; j < n; ++j) {
     for (int64_t p = 0; p < k; ++p) wt[j * k + p] = w[p * n + j];
   }
-  SymmetricInt8Matrix qw = SymmetricQuantizeRows(wt);
-  std::vector<int8_t> qa(static_cast<size_t>(m * k));
-  std::vector<float> qa_scales(static_cast<size_t>(m));
-  std::vector<int32_t> acc(static_cast<size_t>(m * n));
-  SymmetricQuantizeRowsInto(a.data(), m, k, qa.data(), qa_scales.data());
+  const Q8BlockMatrix qw = Q8BlockQuantizeRows(wt);
+  const int64_t kp = qw.padded_cols;
+  std::vector<int8_t> qa(static_cast<size_t>(m * kp));
+  std::vector<float> qa_scales(static_cast<size_t>(m * kp / kQuantBlock));
+  Q8BlockQuantizeRowsInto(a.data(), m, k, qa.data(), qa_scales.data());
 
   row.int8_ms = MedianMs(iters, [&] {
-    Int8GemmTransBInto(qa.data(), qw.values.data(), acc.data(), m, k, n);
-    g_sink = static_cast<float>(acc[0]);
+    Q8BlockGemmTransBInto(qa.data(), qa_scales.data(), qw.values.data(),
+                          qw.scales.data(), c.data(), m, kp, n);
+    g_sink = c[0];
   });
   row.int8_full_ms = MedianMs(iters, [&] {
-    SymmetricQuantizeRowsInto(a.data(), m, k, qa.data(), qa_scales.data());
-    Int8GemmTransBInto(qa.data(), qw.values.data(), acc.data(), m, k, n);
-    for (int64_t i = 0; i < m; ++i) {
-      const float sx = qa_scales[static_cast<size_t>(i)];
-      for (int64_t j = 0; j < n; ++j) {
-        c[static_cast<size_t>(i * n + j)] =
-            static_cast<float>(acc[static_cast<size_t>(i * n + j)]) * sx *
-            qw.scales[static_cast<size_t>(j)];
-      }
-    }
+    Q8BlockQuantizeRowsInto(a.data(), m, k, qa.data(), qa_scales.data());
+    Q8BlockGemmTransBInto(qa.data(), qa_scales.data(), qw.values.data(),
+                          qw.scales.data(), c.data(), m, kp, n);
     g_sink = c[0];
   });
   return row;
@@ -263,50 +262,68 @@ struct FrontierRow {
   double mean_batch = 0.0;
 };
 
-FrontierRow BenchFrontierPoint(InferenceEngine* engine, int64_t max_batch) {
+/// Exact \p q quantile (nearest rank) of \p sorted.
+double NearestRank(const std::vector<double>& sorted, double q) {
+  const size_t n = sorted.size();
+  size_t rank = static_cast<size_t>(std::ceil(q * static_cast<double>(n)));
+  rank = std::clamp<size_t>(rank, 1, n);
+  return sorted[rank - 1];
+}
+
+/// One frontier point on a one-worker Server with a zero cost model:
+/// every batch finishes the instant it starts on the simulated clock, so
+/// only max_batch / max_delay_ms decide when batches dispatch.
+FrontierRow BenchFrontierPoint(const Sequential& net, int64_t max_batch) {
   Rng rng(54);
-  const int64_t in_elems = engine->input_elems_per_example();
   const int64_t requests = g_smoke ? 64 : 2048;
   const double interarrival_ms = 0.01;  // offered load ~100k req/s
 
-  MicroBatcherConfig config;
-  config.max_batch = max_batch;
-  config.max_delay_ms = 0.5;
-  MicroBatcher batcher(engine, config);
+  ServerConfig config;
+  config.workers = 1;
+  config.batch.max_batch = max_batch;
+  config.batch.max_delay_ms = 0.5;
+  config.default_deadline_ms = 1e6;  // nothing sheds
+  config.cost = {0.0, 0.0};
+  ModelRegistry registry;
+  auto created = Server::Create(&registry, config);
+  DLSYS_CHECK(created.ok(), "frontier server config rejected");
+  std::unique_ptr<Server> server = std::move(created).value();
+  DLSYS_CHECK(server->Publish("mlp", net, {64}, EngineConfig{64}).ok(),
+              "frontier compile failed");
 
-  // The batcher records each request's queueing + service delay into the
-  // registry histogram; the bench reads quantiles back from there instead
-  // of keeping a local LatencyHistogram. Reset scopes the read to this
-  // frontier point. (A -DDLSYS_OBS=0 build compiles the recording sites
-  // out, so latency quantiles read as zero there.)
-  obs::SharedHistogram* latency =
-      obs::CounterRegistry::Global().histogram("infer.microbatch_latency_ms");
-  latency->Reset();
-
-  Tensor example({in_elems});
+  Tensor example({64});
   for (int64_t r = 0; r < requests; ++r) {
     example.FillGaussian(&rng, 1.0f);
-    batcher.Submit(example, static_cast<double>(r) * interarrival_ms);
+    server->Submit("mlp", example, static_cast<double>(r) * interarrival_ms);
   }
-  batcher.Flush();
+  server->Drain();
+  const std::vector<Server::Completion>& done = server->completions();
+  DLSYS_CHECK(static_cast<int64_t>(done.size()) == requests,
+              "frontier lost requests: offered != completed");
 
-  // Throughput is engine-side: examples per second of measured service
-  // time (each batch's service appears once per member, so divide by the
-  // member count).
+  // Latency is queueing delay on the simulated clock plus the batch's
+  // measured engine time. Throughput is engine-side: examples per second
+  // of measured service time (each batch's service appears once per
+  // member, so divide by the member count).
+  std::vector<double> latency_ms;
+  latency_ms.reserve(done.size());
   double service_sum_ms = 0.0;
-  for (const MicroBatcher::Completion& done : batcher.completions()) {
-    service_sum_ms += (done.finish_ms - done.start_ms) /
-                      static_cast<double>(done.batch_size);
+  for (const Server::Completion& c : done) {
+    latency_ms.push_back(c.dispatch_ms - c.arrival_ms +
+                         c.measured_service_ms);
+    service_sum_ms +=
+        c.measured_service_ms / static_cast<double>(c.batch_size);
   }
+  std::sort(latency_ms.begin(), latency_ms.end());
 
   FrontierRow row;
   row.max_batch = max_batch;
   row.throughput_rps =
       static_cast<double>(requests) / (service_sum_ms / 1000.0);
-  row.p50_ms = latency->Quantile(0.5);
-  row.p99_ms = latency->Quantile(0.99);
+  row.p50_ms = NearestRank(latency_ms, 0.5);
+  row.p99_ms = NearestRank(latency_ms, 0.99);
   row.mean_batch = static_cast<double>(requests) /
-                   static_cast<double>(batcher.batches_run());
+                   server->metrics().Get("serve.batches");
   return row;
 }
 
@@ -315,13 +332,9 @@ std::vector<FrontierRow> BenchFrontier() {
   Sequential net =
       MakeMlp(64, {g_smoke ? 64 : 256, g_smoke ? 32 : 256}, 10);
   net.Init(&rng);
-  auto compiled = InferenceEngine::Compile(net, {64}, EngineConfig{64});
-  DLSYS_CHECK(compiled.ok(), "frontier compile failed");
-  InferenceEngine engine = std::move(compiled).value();
-
   std::vector<FrontierRow> rows;
   for (int64_t b : {1, 4, 16, 64}) {
-    rows.push_back(BenchFrontierPoint(&engine, b));
+    rows.push_back(BenchFrontierPoint(net, b));
   }
   return rows;
 }
@@ -548,8 +561,8 @@ int main(int argc, char** argv) {
 
   const GemmRow gemm = BenchInt8Gemm();
   std::printf(
-      "gemm %lldx%lldx%lld  fp32 %.4f ms | int8 %.4f ms (%.2fx) | "
-      "int8+requant %.4f ms (%.2fx)\n",
+      "gemm %lldx%lldx%lld  fp32 %.4f ms | q8-block %.4f ms (%.2fx) | "
+      "q8-block+quantize %.4f ms (%.2fx)\n",
       static_cast<long long>(gemm.m), static_cast<long long>(gemm.k),
       static_cast<long long>(gemm.n), gemm.fp32_ms, gemm.int8_ms,
       gemm.fp32_ms / gemm.int8_ms, gemm.int8_full_ms,

@@ -1,5 +1,5 @@
 // Microkernel bench (E34): ISA x format sweep of the dispatched GEMM
-// microkernels — fp32 matmul / fp32 transB / conv-GEMM / int8 / q8-block /
+// microkernels — fp32 matmul / fp32 transB / conv-GEMM / q8-block /
 // q4-block at the E31 serving shape (64x768x768) and one tail shape —
 // plus the lookup primitives (B+-tree, RMI, bloom) behind the learned-index
 // experiments. Per-cell latency quantiles come from the PR-5
@@ -88,8 +88,6 @@ struct GemmOperands {
   Tensor a, b, bt, bias;
   Q8BlockMatrix qa8, qb8;
   Q4BlockMatrix qb4;
-  std::vector<int8_t> ia, ib;
-  std::vector<int32_t> iacc;
   std::vector<float> c;
 
   explicit GemmOperands(const GemmShape& shape, Rng* rng) : s(shape) {
@@ -103,11 +101,6 @@ struct GemmOperands {
     qa8 = Q8BlockQuantizeRows(a);
     qb8 = Q8BlockQuantizeRows(bt);
     qb4 = Q4BlockQuantizeRows(bt);
-    ia.resize(static_cast<size_t>(s.m * s.k));
-    ib.resize(static_cast<size_t>(s.n * s.k));
-    for (int8_t& v : ia) v = static_cast<int8_t>(rng->Next() % 255 - 127);
-    for (int8_t& v : ib) v = static_cast<int8_t>(rng->Next() % 255 - 127);
-    iacc.resize(static_cast<size_t>(s.m * s.n));
     c.resize(static_cast<size_t>(s.m * s.n));
   }
 };
@@ -148,12 +141,6 @@ std::vector<SweepCell> RunSweep(const std::vector<GemmShape>& shapes) {
            ConvGemmBiasInto(op.a.data(), op.bt.data(), op.bias.data(),
                             op.c.data(), m, k, n);
            g_sink = op.c[0];
-         }},
-        {"int8_rowwise",
-         [&] {
-           Int8GemmTransBInto(op.ia.data(), op.ib.data(), op.iacc.data(), m,
-                              k, n);
-           g_sink = static_cast<float>(op.iacc[0]);
          }},
         {"q8_block",
          [&] {

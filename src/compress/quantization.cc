@@ -214,55 +214,6 @@ Result<QuantizedTensor> Quantize(const Tensor& t, QuantizerKind kind,
   return Status::InvalidArgument("unknown quantizer kind");
 }
 
-Tensor SymmetricInt8Matrix::Dequantize() const {
-  Tensor out({rows, cols});
-  float* pout = out.data();
-  for (int64_t i = 0; i < rows; ++i) {
-    const float s = scales[static_cast<size_t>(i)];
-    for (int64_t j = 0; j < cols; ++j) {
-      pout[i * cols + j] =
-          static_cast<float>(values[static_cast<size_t>(i * cols + j)]) * s;
-    }
-  }
-  return out;
-}
-
-void SymmetricQuantizeRowsInto(const float* x, int64_t rows, int64_t cols,
-                               int8_t* values, float* scales) {
-  ParallelFor(0, rows, 4, [=](int64_t r0, int64_t r1) {
-    for (int64_t i = r0; i < r1; ++i) {
-      const float* row = x + i * cols;
-      float maxabs = 0.0f;
-      for (int64_t j = 0; j < cols; ++j) {
-        const float a = std::abs(row[j]);
-        maxabs = a > maxabs ? a : maxabs;
-      }
-      // An all-zero row quantizes to zeros under any positive scale; 1.0
-      // keeps the requantization epilogue division-free and finite.
-      const float scale = maxabs > 0.0f ? maxabs / 127.0f : 1.0f;
-      const float inv = 1.0f / scale;
-      scales[i] = scale;
-      int8_t* vrow = values + i * cols;
-      for (int64_t j = 0; j < cols; ++j) {
-        const long q = std::lround(row[j] * inv);
-        vrow[j] = static_cast<int8_t>(std::clamp<long>(q, -127, 127));
-      }
-    }
-  });
-}
-
-SymmetricInt8Matrix SymmetricQuantizeRows(const Tensor& t) {
-  DLSYS_CHECK(t.rank() == 2, "SymmetricQuantizeRows requires rank 2");
-  SymmetricInt8Matrix q;
-  q.rows = t.dim(0);
-  q.cols = t.dim(1);
-  q.values.resize(static_cast<size_t>(q.rows * q.cols));
-  q.scales.resize(static_cast<size_t>(q.rows));
-  SymmetricQuantizeRowsInto(t.data(), q.rows, q.cols, q.values.data(),
-                            q.scales.data());
-  return q;
-}
-
 Tensor Q8BlockMatrix::Dequantize() const {
   Tensor out({rows, cols});
   float* pout = out.data();

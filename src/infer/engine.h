@@ -74,9 +74,10 @@ struct EngineConfig {
 /// \brief A compiled, arena-backed forward pipeline for one model.
 ///
 /// Thread-compatible: one engine serves one request at a time (the
-/// workspace is shared across calls); wrap with MicroBatcher or external
-/// queuing for concurrent producers. Holds its own copies of all
-/// parameters — the source network may be freed or mutated afterwards.
+/// workspace is shared across calls); concurrent producers go through a
+/// Server (src/serve), which gives each worker its own replica. Holds its
+/// own copies of all parameters — the source network may be freed or
+/// mutated afterwards.
 class InferenceEngine {
  public:
   /// \brief Compiles \p net for inputs of per-example shape

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "src/core/status.h"
-#include "src/infer/batcher.h"
 
 /// \file admission.h
 /// \brief Server configuration, validation, and the admission policy.
@@ -25,6 +24,14 @@
 /// unit-tested without a Server and reused by other front doors.
 
 namespace dlsys {
+
+/// \brief Batch coalescing policy: a batch dispatches when max_batch
+/// requests are pending, or when its oldest member has waited
+/// max_delay_ms of simulated time — whichever comes first.
+struct BatchPolicy {
+  int64_t max_batch = 16;     ///< dispatch when this many are pending
+  double max_delay_ms = 1.0;  ///< dispatch when the oldest waited this long
+};
 
 /// \brief Linear model of engine service time for one dispatched batch.
 ///
@@ -88,16 +95,15 @@ struct SlotSchedulerConfig {
 
 /// \brief Front-door configuration for a Server.
 struct ServerConfig {
-  /// Engine replicas serving concurrently; each drives its own
-  /// MicroBatcher-style coalescing slot on the worker pool.
+  /// Engine replicas serving concurrently; each runs one dispatched
+  /// batch at a time on the worker pool.
   int workers = 2;
   /// Per-model bound on admitted-but-undispatched requests. Admission
   /// sheds (never blocks, never queues past this) when a model's queue
   /// is full. Must be >= batch.max_batch so one full batch can form.
   int64_t queue_capacity = 64;
-  /// Batch coalescing policy (same knobs as the MicroBatcher front door):
-  /// dispatch at max_batch pending, or when the oldest waited max_delay_ms.
-  MicroBatcherConfig batch;
+  /// Batch coalescing policy; see BatchPolicy.
+  BatchPolicy batch;
   /// Deadline budget applied when Submit passes no explicit deadline.
   double default_deadline_ms = 50.0;
   /// The declared service-time model used for admission and scheduling.

@@ -117,8 +117,11 @@ Server::SubmitResult Server::Submit(const std::string& model,
   const bool slot_mode = scheduler_ != nullptr;
   // Work due strictly before this arrival happens first; a batch delay or
   // step completion landing exactly at arrival_ms instead waits for the
-  // non-strict pass below, so it can coalesce (or seat) this request
-  // (same-tick semantics, matching MicroBatcher::Submit).
+  // non-strict pass below, so it can coalesce (or seat) this request. On
+  // the FIFO path that pass dispatches the expiring batch together with
+  // this request, so a later arrival at the same tick opens a new batch:
+  // with max_delay_ms == 0 and an idle worker, same-tick arrivals each
+  // dispatch alone.
   if (slot_mode) {
     SlotAdvance(arrival_ms, /*strict=*/true);
   } else {

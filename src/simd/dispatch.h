@@ -86,10 +86,6 @@ struct KernelTable {
                               const float* bias, float* c, int64_t m,
                               int64_t k, int64_t n, int64_t j0,
                               int64_t j1) = nullptr;
-  /// C[i0:i1, :] = A(MxK) * B(NxK)^T over int8, exact int32 accumulation.
-  void (*int8_gemm_rows)(const int8_t* a, const int8_t* b, int32_t* c,
-                         int64_t i0, int64_t i1, int64_t k,
-                         int64_t n) = nullptr;
   /// Fused block-dequant q8 x q8 GEMM rows (see int8_gemm.h).
   void (*q8_gemm_rows)(const int8_t* a, const float* a_scales,
                        const int8_t* b, const float* b_scales, float* c,

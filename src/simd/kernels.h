@@ -22,11 +22,11 @@
 ///   elements* only, never across the reduction, and are compiled with
 ///   -ffp-contract=off, so they are **bitwise identical** to the scalar
 ///   kernels — no FMA, no reassociation, no tolerance needed.
-/// - integer kernels (int8, q8/q4 block) accumulate in int32, which is
-///   associative: any vector order is exact, so they are bit-exact by
-///   construction. The per-block float epilogue of the q8/q4 kernels
-///   follows the scalar chain (ascending block index, float(dot) *
-///   (a_scale * b_scale)) element-for-element.
+/// - q8/q4 block kernels accumulate each block's dot in int32, which is
+///   associative: any vector order is exact, so the dots are bit-exact by
+///   construction. The per-block float epilogue follows the scalar chain
+///   (ascending block index, float(dot) * (a_scale * b_scale))
+///   element-for-element.
 ///
 /// Each ISA translation unit is compiled with exactly the target flags it
 /// needs (-mavx2 / -mavx512*) and self-guards, so the binary stays safe to
@@ -48,8 +48,9 @@ const KernelTable* GetAvx2Table();
 const KernelTable* GetAvx512Table();
 
 // ------------------------------------------------------ scalar kernels
-// Bodies are the pre-SIMD kernels from src/tensor/ops.cc and
-// src/tensor/int8_gemm.cc, moved verbatim; see kernels_scalar.cc.
+// The fp32 bodies are the pre-SIMD kernels from src/tensor/ops.cc, moved
+// verbatim; the q8/q4 bodies are the block-GEMM references. See
+// kernels_scalar.cc.
 
 void MatMulRangeScalar(const float* a, const float* b, float* c, int64_t i0,
                        int64_t i1, int64_t k, int64_t n);
@@ -61,8 +62,6 @@ void MatMulTransBRangeScalar(const float* a, const float* b, float* c,
 void ConvGemmBiasColsScalar(const float* a, const float* b, const float* bias,
                             float* c, int64_t m, int64_t k, int64_t n,
                             int64_t j0, int64_t j1);
-void Int8GemmRowsScalar(const int8_t* a, const int8_t* b, int32_t* c,
-                        int64_t i0, int64_t i1, int64_t k, int64_t n);
 void Q8GemmRowsScalar(const int8_t* a, const float* a_scales, const int8_t* b,
                       const float* b_scales, float* c, int64_t i0, int64_t i1,
                       int64_t kp, int64_t n);

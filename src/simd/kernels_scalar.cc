@@ -5,9 +5,9 @@
 #include "src/simd/kernels.h"
 
 /// \file kernels_scalar.cc
-/// \brief The always-available reference kernels. The fp32 and int8
-/// bodies are the pre-dispatch kernels from src/tensor/ops.cc and
-/// src/tensor/int8_gemm.cc, moved verbatim and compiled with the same
+/// \brief The always-available reference kernels. The fp32 bodies are
+/// the pre-dispatch kernels from src/tensor/ops.cc, moved verbatim and
+/// compiled with the same
 /// flags (-O3 -march=native -ffp-contract=off via src/CMakeLists.txt), so
 /// a -DDLSYS_SIMD=OFF or DLSYS_ISA=scalar run is bitwise identical to the
 /// tree before the SIMD backend existed. The q8/q4 block kernels are the
@@ -203,45 +203,6 @@ void ConvGemmBiasActColsScalar(const float* a, const float* b,
   }
 }
 
-// ---------------------------------------------------------------- int8
-
-void Int8GemmRowsScalar(const int8_t* a, const int8_t* b, int32_t* c,
-                        int64_t i0, int64_t i1, int64_t k, int64_t n) {
-  for (int64_t i = i0; i < i1; ++i) {
-    const int8_t* arow = a + i * k;
-    int64_t j = 0;
-    // Four independent output columns per iteration: four int32
-    // accumulators in flight hide the load latency, and each inner
-    // reduction vectorizes (integer adds reassociate freely).
-    for (; j + 4 <= n; j += 4) {
-      const int8_t* b0 = b + (j + 0) * k;
-      const int8_t* b1 = b + (j + 1) * k;
-      const int8_t* b2 = b + (j + 2) * k;
-      const int8_t* b3 = b + (j + 3) * k;
-      int32_t s0 = 0, s1 = 0, s2 = 0, s3 = 0;
-      for (int64_t p = 0; p < k; ++p) {
-        const int32_t av = arow[p];
-        s0 += av * b0[p];
-        s1 += av * b1[p];
-        s2 += av * b2[p];
-        s3 += av * b3[p];
-      }
-      c[i * n + j + 0] = s0;
-      c[i * n + j + 1] = s1;
-      c[i * n + j + 2] = s2;
-      c[i * n + j + 3] = s3;
-    }
-    for (; j < n; ++j) {
-      const int8_t* brow = b + j * k;
-      int32_t s = 0;
-      for (int64_t p = 0; p < k; ++p) {
-        s += static_cast<int32_t>(arow[p]) * static_cast<int32_t>(brow[p]);
-      }
-      c[i * n + j] = s;
-    }
-  }
-}
-
 // ------------------------------------------------------- block-quantized
 //
 // Per 32-element block: the integer dot product is exact (int32), and the
@@ -312,7 +273,6 @@ const KernelTable kScalarTable = {
     &MatMulTransARangeScalar,
     &MatMulTransBRangeScalar,
     &ConvGemmBiasColsScalar,
-    &Int8GemmRowsScalar,
     &Q8GemmRowsScalar,
     &Q4GemmRowsScalar,
     &MatMulBiasActRangeScalar,

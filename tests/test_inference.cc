@@ -1,8 +1,8 @@
 // Tests for the batched inference engine (src/infer): fp32 bitwise parity
 // with the training forward across thread counts and conv algorithms, the
 // arena's plan-once discipline, zero steady-state tensor allocations, the
-// int8 path's exactness and accuracy envelope, and the micro-batching
-// front door.
+// int8/int4 paths' determinism and accuracy envelope, and the graph pass
+// pipeline.
 
 #include <gtest/gtest.h>
 
@@ -12,11 +12,9 @@
 #include <string>
 #include <vector>
 
-#include "src/compress/quantization.h"
 #include "src/data/dataset.h"
 #include "src/data/synthetic.h"
 #include "src/infer/arena.h"
-#include "src/infer/batcher.h"
 #include "src/infer/engine.h"
 #include "src/infer/passes.h"
 #include "src/obs/counters.h"
@@ -26,7 +24,6 @@
 #include "src/optim/optimizer.h"
 #include "src/runtime/runtime.h"
 #include "src/simd/dispatch.h"
-#include "src/tensor/int8_gemm.h"
 #include "src/tensor/ops.h"
 
 namespace dlsys {
@@ -261,43 +258,6 @@ TEST(InferenceEngineTest, SteadyStateMakesNoTensorAllocations) {
 
 // ------------------------------------------------------------- int8 path
 
-TEST(Int8GemmTest, MatchesNaiveReferenceAcrossThreadCounts) {
-  Rng rng(36);
-  const int64_t m = 33, k = 65, n = 17;
-  std::vector<int8_t> a(static_cast<size_t>(m * k));
-  std::vector<int8_t> b(static_cast<size_t>(n * k));
-  for (auto& v : a) {
-    v = static_cast<int8_t>(static_cast<int64_t>(rng.Uniform(0, 255)) - 127);
-  }
-  for (auto& v : b) {
-    v = static_cast<int8_t>(static_cast<int64_t>(rng.Uniform(0, 255)) - 127);
-  }
-  std::vector<int32_t> ref(static_cast<size_t>(m * n));
-  NaiveInt8GemmTransBInto(a.data(), b.data(), ref.data(), m, k, n);
-  for (int threads : {1, 2, 8}) {
-    RuntimeConfig::SetThreads(threads);
-    std::vector<int32_t> c(static_cast<size_t>(m * n), -1);
-    Int8GemmTransBInto(a.data(), b.data(), c.data(), m, k, n);
-    EXPECT_EQ(c, ref) << "threads=" << threads;
-  }
-  RuntimeConfig::SetThreads(1);
-}
-
-TEST(SymmetricQuantizeTest, RoundTripBoundedByScale) {
-  Rng rng(37);
-  Tensor t({7, 40});
-  t.FillGaussian(&rng, 2.0f);
-  SymmetricInt8Matrix q = SymmetricQuantizeRows(t);
-  ASSERT_EQ(q.rows, 7);
-  Tensor back = q.Dequantize();
-  for (int64_t i = 0; i < 7; ++i) {
-    const float scale = q.scales[static_cast<size_t>(i)];
-    for (int64_t j = 0; j < 40; ++j) {
-      EXPECT_NEAR(back[i * 40 + j], t[i * 40 + j], scale * 0.5f + 1e-6f);
-    }
-  }
-}
-
 TEST(Int8EngineTest, AccuracyWithinEnvelopeOnBlobsTask) {
   // The E1 setup of EXPERIMENTS.md at reduced scale: simulated 8-bit
   // weight quantization there held accuracy at 1.000; the real int8
@@ -508,169 +468,6 @@ TEST(InferenceEngineTest, PredictErrors) {
 
   Tensor ok_in({2, 16});
   EXPECT_TRUE(engine.Predict(ok_in).ok());
-}
-
-// ------------------------------------------------------------ MicroBatcher
-
-TEST(MicroBatcherTest, DispatchesOnMaxBatchAndMaxDelay) {
-  Rng rng(41);
-  Sequential net = MakeMlp(16, {8}, 4);
-  net.Init(&rng);
-  auto compiled = InferenceEngine::Compile(net, {16}, EngineConfig{8});
-  ASSERT_TRUE(compiled.ok());
-  InferenceEngine engine = std::move(compiled).value();
-
-  MicroBatcherConfig config;
-  config.max_batch = 4;
-  config.max_delay_ms = 1.0;
-  MicroBatcher batcher(&engine, config);
-
-  std::vector<Tensor> examples;
-  for (int i = 0; i < 9; ++i) {
-    Tensor e({16});
-    e.FillGaussian(&rng, 1.0f);
-    examples.push_back(std::move(e));
-  }
-
-  // Three arrivals, then the delay budget expires: one batch of 3 at the
-  // oldest arrival + max_delay.
-  batcher.Submit(examples[0], 0.0);
-  batcher.Submit(examples[1], 0.1);
-  batcher.Submit(examples[2], 0.2);
-  EXPECT_EQ(batcher.pending(), 3);
-  batcher.AdvanceTo(0.5);
-  EXPECT_EQ(batcher.pending(), 3);  // 0.0 + 1.0 not yet reached
-  batcher.AdvanceTo(2.0);
-  EXPECT_EQ(batcher.pending(), 0);
-  ASSERT_EQ(batcher.batches_run(), 1);
-  ASSERT_EQ(batcher.completions().size(), 3u);
-  EXPECT_DOUBLE_EQ(batcher.completions()[0].start_ms, 1.0);
-  EXPECT_EQ(batcher.completions()[0].batch_size, 3);
-
-  // Four rapid arrivals: dispatch on the example that fills the batch.
-  for (int i = 3; i < 7; ++i) batcher.Submit(examples[i], 3.0);
-  EXPECT_EQ(batcher.pending(), 0);
-  EXPECT_EQ(batcher.batches_run(), 2);
-  EXPECT_DOUBLE_EQ(batcher.completions()[3].start_ms, 3.0);
-  EXPECT_EQ(batcher.completions()[3].batch_size, 4);
-
-  // Flush drains the remainder immediately.
-  batcher.Submit(examples[7], 4.0);
-  batcher.Submit(examples[8], 4.1);
-  batcher.Flush();
-  EXPECT_EQ(batcher.pending(), 0);
-  EXPECT_EQ(batcher.batches_run(), 3);
-  ASSERT_EQ(batcher.completions().size(), 9u);
-
-  // Batched outputs equal individual predictions, bitwise.
-  for (size_t i = 0; i < 9; ++i) {
-    const MicroBatcher::Completion& done = batcher.completions()[i];
-    Tensor one({1, 16});
-    const Tensor& src = examples[static_cast<size_t>(done.id)];
-    std::copy(src.data(), src.data() + 16, one.data());
-    const Tensor want = std::move(engine.Predict(one)).value();
-    EXPECT_TRUE(BitwiseEqual(done.output.Reshaped({1, 4}), want))
-        << "completion " << i;
-    EXPECT_GE(done.finish_ms, done.start_ms);
-    EXPECT_GE(done.start_ms, done.arrival_ms);
-  }
-}
-
-TEST(MicroBatcherTest, MaxBatchOnePassesEverySubmitThrough) {
-  Rng rng(42);
-  Sequential net = MakeMlp(16, {8}, 4);
-  net.Init(&rng);
-  auto compiled = InferenceEngine::Compile(net, {16}, EngineConfig{8});
-  ASSERT_TRUE(compiled.ok());
-  InferenceEngine engine = std::move(compiled).value();
-
-  MicroBatcherConfig config;
-  config.max_batch = 1;
-  config.max_delay_ms = 5.0;  // irrelevant: every batch fills instantly
-  MicroBatcher batcher(&engine, config);
-
-  Tensor e({16});
-  for (int i = 0; i < 3; ++i) {
-    e.FillGaussian(&rng, 1.0f);
-    batcher.Submit(e, static_cast<double>(i));
-    EXPECT_EQ(batcher.pending(), 0) << "submit " << i;
-  }
-  EXPECT_EQ(batcher.batches_run(), 3);
-  ASSERT_EQ(batcher.completions().size(), 3u);
-  for (size_t i = 0; i < 3; ++i) {
-    const MicroBatcher::Completion& done = batcher.completions()[i];
-    EXPECT_EQ(done.batch_size, 1);
-    // Pass-through dispatches at the arrival itself, never the delay.
-    EXPECT_DOUBLE_EQ(done.start_ms, done.arrival_ms);
-  }
-}
-
-TEST(MicroBatcherTest, SameTickArrivalsCoalesceDeterministically) {
-  Rng rng(43);
-  Sequential net = MakeMlp(16, {8}, 4);
-  net.Init(&rng);
-  auto compiled = InferenceEngine::Compile(net, {16}, EngineConfig{8});
-  ASSERT_TRUE(compiled.ok());
-  InferenceEngine engine = std::move(compiled).value();
-
-  // The hostile setting: zero delay budget, where a naive "dispatch when
-  // expired at arrival" rule would split simultaneous arrivals into
-  // single-example batches.
-  MicroBatcherConfig config;
-  config.max_batch = 4;
-  config.max_delay_ms = 0.0;
-  MicroBatcher batcher(&engine, config);
-
-  Tensor e({16});
-  for (int i = 0; i < 3; ++i) {
-    e.FillGaussian(&rng, 1.0f);
-    batcher.Submit(e, 1.0);  // one tick, three arrivals
-  }
-  EXPECT_EQ(batcher.pending(), 3);  // budget expires *at* 1.0, not before
-  batcher.AdvanceTo(1.0);           // inclusive: fires the expired batch
-  EXPECT_EQ(batcher.pending(), 0);
-  EXPECT_EQ(batcher.batches_run(), 1);
-  ASSERT_EQ(batcher.completions().size(), 3u);
-  EXPECT_EQ(batcher.completions()[0].batch_size, 3);
-  EXPECT_DOUBLE_EQ(batcher.completions()[0].start_ms, 1.0);
-
-  // A later arrival first flushes the now strictly-expired queue, at the
-  // expiry time rather than the new arrival's.
-  e.FillGaussian(&rng, 1.0f);
-  batcher.Submit(e, 2.0);
-  e.FillGaussian(&rng, 1.0f);
-  batcher.Submit(e, 2.5);
-  EXPECT_EQ(batcher.batches_run(), 2);
-  EXPECT_EQ(batcher.pending(), 1);
-  ASSERT_EQ(batcher.completions().size(), 4u);
-  EXPECT_EQ(batcher.completions()[3].batch_size, 1);
-  EXPECT_DOUBLE_EQ(batcher.completions()[3].start_ms, 2.0);
-  batcher.Flush();
-  EXPECT_EQ(batcher.pending(), 0);
-}
-
-TEST(MicroBatcherTest, FlushOnEmptyQueueIsNoOp) {
-  Rng rng(44);
-  Sequential net = MakeMlp(16, {8}, 4);
-  net.Init(&rng);
-  auto compiled = InferenceEngine::Compile(net, {16}, EngineConfig{8});
-  ASSERT_TRUE(compiled.ok());
-  InferenceEngine engine = std::move(compiled).value();
-  MicroBatcherConfig config;
-  config.max_batch = 8;
-  MicroBatcher batcher(&engine, config);
-
-  batcher.Flush();  // nothing pending: must not run an empty batch
-  EXPECT_EQ(batcher.batches_run(), 0);
-  EXPECT_TRUE(batcher.completions().empty());
-
-  Tensor e({16});
-  e.FillGaussian(&rng, 1.0f);
-  batcher.Submit(e, 1.0);
-  batcher.Flush();
-  batcher.Flush();  // idempotent after a real flush too
-  EXPECT_EQ(batcher.batches_run(), 1);
-  EXPECT_EQ(batcher.completions().size(), 1u);
 }
 
 // ------------------------------------------------- graph pass pipeline

@@ -1,7 +1,8 @@
 // Tests for the serving layer (src/serve): RCU hot-swap correctness
 // (every completed request's output is bitwise the version it was
 // admitted under, at any DLSYS_THREADS), bounded-queue and deadline
-// admission, deterministic bit-for-bit load replay, and thread-safety of
+// admission, the max-batch/max-delay batch policy and its same-tick
+// rule, deterministic bit-for-bit load replay, and thread-safety of
 // registry publish/acquire under real concurrency (the TSan target).
 
 #include <gtest/gtest.h>
@@ -374,7 +375,7 @@ TEST(ServerTest, CostScaleSlowsFutureDecisionsOnly) {
   ServerConfig config;
   config.workers = 1;
   config.batch.max_batch = 1;
-  config.batch.max_delay_ms = 0.0;
+  config.batch.max_delay_ms = 5.0;  // irrelevant: a batch of one is full
   config.default_deadline_ms = 1e6;
   config.cost = {2.0, 1.0};
   auto created = Server::Create(&registry, config);
@@ -404,9 +405,159 @@ TEST(ServerTest, CostScaleSlowsFutureDecisionsOnly) {
   server->SetCostScale(1.0);
   EXPECT_EQ(server->Submit("m", x, 30.0).outcome,
             Server::Outcome::kAdmitted);
+  EXPECT_EQ(server->queue_depth(), 0);
   server->Drain();
   ASSERT_EQ(server->completions().size(), 3u);
   EXPECT_DOUBLE_EQ(server->completions()[2].finish_ms, 33.0);
+  // With max_batch 1 every request dispatches alone at its own arrival
+  // (the worker is idle each time), never after the delay budget.
+  for (const Server::Completion& c : server->completions()) {
+    EXPECT_EQ(c.batch_size, 1);
+    EXPECT_DOUBLE_EQ(c.dispatch_ms, c.arrival_ms);
+  }
+}
+
+// ------------------------------------------------------------ batch policy
+
+/// One worker and a zero cost model: a batch finishes the instant it
+/// starts, so batch.max_batch and batch.max_delay_ms alone decide when
+/// each batch dispatches.
+std::unique_ptr<Server> MakeBatchPolicyServer(ModelRegistry* registry,
+                                              const Sequential& net,
+                                              int64_t max_batch,
+                                              double max_delay_ms) {
+  ServerConfig config;
+  config.workers = 1;
+  config.batch.max_batch = max_batch;
+  config.batch.max_delay_ms = max_delay_ms;
+  config.default_deadline_ms = 1e6;
+  config.cost = {0.0, 0.0};
+  auto created = Server::Create(registry, config);
+  EXPECT_TRUE(created.ok());
+  std::unique_ptr<Server> server = std::move(created).value();
+  EXPECT_TRUE(server->Publish("m", net, {16}).ok());
+  return server;
+}
+
+TEST(ServerTest, BatchPolicyDispatchesOnFillOrOldestDelay) {
+  const Sequential net = MakeNet(41);
+  ModelRegistry registry;
+  std::unique_ptr<Server> server =
+      MakeBatchPolicyServer(&registry, net, /*max_batch=*/4,
+                            /*max_delay_ms=*/1.0);
+  server->Drain();  // nothing queued: must not run an empty batch
+  EXPECT_TRUE(server->completions().empty());
+  EXPECT_EQ(server->metrics().Get("serve.batches"), 0.0);
+
+  Rng rng(42);
+  std::vector<Tensor> examples;
+  for (int i = 0; i < 9; ++i) {
+    Tensor e({16});
+    e.FillGaussian(&rng, 1.0f);
+    examples.push_back(std::move(e));
+  }
+  const auto submit = [&](int i, double t) {
+    EXPECT_EQ(server->Submit("m", examples[static_cast<size_t>(i)], t).outcome,
+              Server::Outcome::kAdmitted);
+  };
+
+  // Three arrivals, then the delay budget expires: one batch of 3 at the
+  // oldest arrival + max_delay_ms, not before.
+  submit(0, 0.0);
+  submit(1, 0.1);
+  submit(2, 0.2);
+  EXPECT_EQ(server->queue_depth(), 3);
+  EXPECT_DOUBLE_EQ(server->NextActionableMs(), 1.0);
+  server->AdvanceTo(0.5);
+  EXPECT_EQ(server->queue_depth(), 3);
+  server->AdvanceTo(1.0);  // inclusive: exactly the expiry fires the batch
+  EXPECT_EQ(server->queue_depth(), 0);
+  ASSERT_EQ(server->completions().size(), 3u);
+  EXPECT_DOUBLE_EQ(server->completions()[0].dispatch_ms, 1.0);
+  EXPECT_EQ(server->completions()[0].batch_size, 3);
+
+  // Four arrivals at one tick: the one that fills the batch dispatches it.
+  for (int i = 3; i < 6; ++i) submit(i, 3.0);
+  EXPECT_EQ(server->queue_depth(), 3);
+  submit(6, 3.0);
+  EXPECT_EQ(server->queue_depth(), 0);
+  ASSERT_EQ(server->completions().size(), 7u);
+  EXPECT_DOUBLE_EQ(server->completions()[3].dispatch_ms, 3.0);
+  EXPECT_EQ(server->completions()[3].batch_size, 4);
+
+  // Drain dispatches the remainder when its delay expires; a second
+  // Drain finds nothing to do.
+  submit(7, 4.0);
+  submit(8, 4.1);
+  server->Drain();
+  ASSERT_EQ(server->completions().size(), 9u);
+  EXPECT_DOUBLE_EQ(server->completions()[7].dispatch_ms, 5.0);
+  EXPECT_EQ(server->completions()[7].batch_size, 2);
+  server->Drain();
+  EXPECT_EQ(server->completions().size(), 9u);
+  EXPECT_EQ(server->metrics().Get("serve.batches"), 3.0);
+
+  // Batched outputs equal one-example predictions, bitwise.
+  auto compiled = InferenceEngine::Compile(net, {16});
+  ASSERT_TRUE(compiled.ok());
+  InferenceEngine engine = std::move(compiled).value();
+  for (const Server::Completion& c : server->completions()) {
+    ASSERT_LT(c.id, 9);
+    Tensor one({1, 16});
+    const Tensor& src = examples[static_cast<size_t>(c.id)];
+    std::copy(src.data(), src.data() + 16, one.data());
+    const Tensor want = std::move(engine.Predict(one)).value();
+    EXPECT_TRUE(BitwiseEqual(c.output.Reshaped({1, 4}), want)) << c.id;
+  }
+}
+
+TEST(ServerTest, SameTickArrivalJoinsTheBatchExpiringOnIt) {
+  // The FIFO path's same-tick rule: a batch whose delay expires exactly
+  // at an arrival dispatches together with that arrival, so a later
+  // arrival at the same tick opens a new batch.
+  const Sequential net = MakeNet(43);
+  Rng rng(44);
+  Tensor x({16});
+  x.FillGaussian(&rng, 1.0f);
+
+  ModelRegistry registry;
+  std::unique_ptr<Server> server =
+      MakeBatchPolicyServer(&registry, net, /*max_batch=*/4,
+                            /*max_delay_ms=*/1.0);
+  server->Submit("m", x, 0.0);
+  server->Submit("m", x, 1.0);  // 0.0 + 1.0 expires now: joins, dispatches
+  EXPECT_EQ(server->queue_depth(), 0);
+  ASSERT_EQ(server->completions().size(), 2u);
+  EXPECT_EQ(server->completions()[0].batch_size, 2);
+  EXPECT_DOUBLE_EQ(server->completions()[0].dispatch_ms, 1.0);
+  server->Submit("m", x, 1.0);  // same tick, after that dispatch
+  EXPECT_EQ(server->queue_depth(), 1);
+  // A batch whose delay expired strictly before an arrival dispatches
+  // first, at its expiry rather than at the arrival.
+  server->Submit("m", x, 2.5);
+  ASSERT_EQ(server->completions().size(), 3u);
+  EXPECT_EQ(server->completions()[2].batch_size, 1);
+  EXPECT_DOUBLE_EQ(server->completions()[2].dispatch_ms, 2.0);
+  EXPECT_EQ(server->queue_depth(), 1);
+  server->Drain();
+  ASSERT_EQ(server->completions().size(), 4u);
+  EXPECT_DOUBLE_EQ(server->completions()[3].dispatch_ms, 3.5);
+
+  // Zero delay budget and an idle worker: each same-tick arrival is its
+  // own batch.
+  ModelRegistry zero_registry;
+  std::unique_ptr<Server> zero =
+      MakeBatchPolicyServer(&zero_registry, net, /*max_batch=*/4,
+                            /*max_delay_ms=*/0.0);
+  for (int i = 0; i < 3; ++i) {
+    zero->Submit("m", x, 1.0);
+    EXPECT_EQ(zero->queue_depth(), 0) << "submit " << i;
+  }
+  ASSERT_EQ(zero->completions().size(), 3u);
+  for (const Server::Completion& c : zero->completions()) {
+    EXPECT_EQ(c.batch_size, 1);
+    EXPECT_DOUBLE_EQ(c.dispatch_ms, 1.0);
+  }
 }
 
 TEST(ServerTest, UnknownModelIsReported) {

@@ -75,7 +75,6 @@ TEST(DispatchTest, ScalarAlwaysSupportedAndComplete) {
   EXPECT_NE(table->matmul_ta_range, nullptr);
   EXPECT_NE(table->matmul_tb_range, nullptr);
   EXPECT_NE(table->conv_gemm_bias_cols, nullptr);
-  EXPECT_NE(table->int8_gemm_rows, nullptr);
   EXPECT_NE(table->q8_gemm_rows, nullptr);
   EXPECT_NE(table->q4_gemm_rows, nullptr);
 }
@@ -270,36 +269,6 @@ TEST(SimdParityTest, ConvGemmBiasActBitwiseEqualsSeparateRelu) {
 }
 
 // ---------------------------------------------- integer bit-exactness
-
-TEST(SimdParityTest, Int8GemmBitExactAcrossIsasAndThreads) {
-  IsaRestore restore;
-  Rng rng(34);
-  for (const GemmShape& s : kTailShapes) {
-    std::vector<int8_t> a(static_cast<size_t>(s.m * s.k));
-    std::vector<int8_t> b(static_cast<size_t>(s.n * s.k));
-    for (int8_t& v : a) v = static_cast<int8_t>(rng.Next() % 255 - 127);
-    for (int8_t& v : b) v = static_cast<int8_t>(rng.Next() % 255 - 127);
-
-    std::vector<int32_t> ref(static_cast<size_t>(s.m * s.n));
-    NaiveInt8GemmTransBInto(a.data(), b.data(), ref.data(), s.m, s.k, s.n);
-
-    std::vector<int32_t> c(static_cast<size_t>(s.m * s.n));
-    for (simd::Isa isa : SupportedIsas()) {
-      simd::SetIsa(isa);
-      for (int threads : {1, 2, 8}) {
-        RuntimeConfig::SetThreads(threads);
-        std::fill(c.begin(), c.end(), -1);
-        Int8GemmTransBInto(a.data(), b.data(), c.data(), s.m, s.k, s.n);
-        EXPECT_EQ(std::memcmp(c.data(), ref.data(),
-                              c.size() * sizeof(int32_t)),
-                  0)
-            << "isa=" << simd::IsaName(isa) << " threads=" << threads
-            << " m=" << s.m << " k=" << s.k << " n=" << s.n;
-      }
-    }
-  }
-  RuntimeConfig::SetThreads(1);
-}
 
 TEST(SimdParityTest, BlockGemmBitExactAcrossIsasAndThreads) {
   IsaRestore restore;
