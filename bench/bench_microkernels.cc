@@ -2,9 +2,9 @@
 // microkernels — fp32 matmul / fp32 transB / conv-GEMM / q8-block /
 // q4-block at the E31 serving shape (64x768x768) and one tail shape —
 // plus the lookup primitives (B+-tree, RMI, bloom) behind the learned-index
-// experiments. Per-cell latency quantiles come from the PR-5
-// CounterRegistry histogram (obs::SharedHistogram), not local timing
-// plumbing; results land in BENCH_microkernels.json with speedup vs the
+// experiments. Per-cell p50/p99 are exact nearest-rank quantiles of the
+// raw per-call samples (41 per cell in full mode), not histogram bucket
+// edges; results land in BENCH_microkernels.json with speedup vs the
 // scalar table per cell.
 //
 // Standalone binary (not google-benchmark): the sweep forces each SIMD
@@ -13,6 +13,7 @@
 // DLSYS_BENCH_SMOKE=1) for a seconds-scale CI run at tiny shapes.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -28,7 +29,6 @@
 #include "src/db/bloom.h"
 #include "src/db/btree.h"
 #include "src/learned/learned_index.h"
-#include "src/obs/counters.h"
 #include "src/runtime/runtime.h"
 #include "src/simd/dispatch.h"
 #include "src/tensor/int8_gemm.h"
@@ -45,22 +45,29 @@ struct Quantiles {
   double p99_ms = 0.0;
 };
 
-/// Runs \p fn `iters` times, recording each call's wall time into the
-/// shared bench histogram, and returns {p50_ms, p99_ms} read back from the
-/// registry. (A -DDLSYS_OBS=0 build still links the registry — only the
-/// DLSYS_* recording macros compile out — so this bench works either way.)
+/// Exact \p q quantile (nearest rank) of \p sorted.
+double NearestRank(const std::vector<double>& sorted, double q) {
+  const size_t n = sorted.size();
+  size_t rank = static_cast<size_t>(std::ceil(q * static_cast<double>(n)));
+  rank = std::clamp<size_t>(rank, 1, n);
+  return sorted[rank - 1];
+}
+
+/// Runs \p fn `iters` times and returns the exact nearest-rank
+/// {p50_ms, p99_ms} of the per-call wall times. With fewer than 100
+/// samples p99 is the slowest call.
 template <typename Fn>
 Quantiles TimeKernel(int iters, Fn&& fn) {
-  obs::SharedHistogram* hist =
-      obs::CounterRegistry::Global().histogram("bench.microkernel_ms");
-  hist->Reset();
   fn();  // warm: touch every page, resolve the dispatch table
+  std::vector<double> samples_ms;
+  samples_ms.reserve(static_cast<size_t>(iters));
   for (int it = 0; it < iters; ++it) {
     Stopwatch watch;
     fn();
-    hist->Record(watch.Seconds() * 1000.0);
+    samples_ms.push_back(watch.Seconds() * 1000.0);
   }
-  return {hist->Quantile(0.5), hist->Quantile(0.99)};
+  std::sort(samples_ms.begin(), samples_ms.end());
+  return {NearestRank(samples_ms, 0.5), NearestRank(samples_ms, 0.99)};
 }
 
 // ------------------------------------------------------ ISA x format sweep
@@ -106,7 +113,7 @@ struct GemmOperands {
 };
 
 std::vector<SweepCell> RunSweep(const std::vector<GemmShape>& shapes) {
-  const int iters = g_smoke ? 3 : 15;
+  const int iters = g_smoke ? 3 : 41;
   std::vector<SweepCell> cells;
   Rng rng(61);
 
@@ -196,7 +203,7 @@ std::vector<int64_t> BenchKeys(int64_t n) {
 
 std::vector<LookupRow> RunLookups() {
   const int64_t n = g_smoke ? 10000 : 100000;
-  const int batches = g_smoke ? 5 : 30;
+  const int batches = g_smoke ? 5 : 41;
   const std::vector<int64_t> keys = BenchKeys(n);
 
   BTree tree(128);
@@ -208,8 +215,8 @@ std::vector<LookupRow> RunLookups() {
   for (int64_t key : keys) bloom.Insert(key);
 
   // Each timed call is a batch of 1000 probes striding through the key
-  // set, so the histogram's millisecond quantiles read directly as
-  // microseconds per probe.
+  // set, so the millisecond quantiles read directly as microseconds per
+  // probe.
   std::vector<LookupRow> rows;
   size_t probe = 0;
   rows.push_back({"btree", TimeKernel(batches, [&] {

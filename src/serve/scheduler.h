@@ -46,19 +46,22 @@
 
 namespace dlsys {
 
-/// \brief One admitted request waiting for a slot (state: queued).
+/// \brief One admitted request, from admission to completion: queued in
+/// the scheduler (or a FIFO model queue), loaded into a lane, executing.
 struct SlotRequest {
   int64_t id = 0;
   int64_t trace_rid = -1;    ///< fleet rid from RequestTrace, -1 local
-  std::string tenant;
+  std::string tenant;        ///< normalized tenant id
   int priority = 0;          ///< resolved priority class
+  int slot = -1;             ///< bound slot lane once loaded (slot mode)
   double arrival_ms = 0.0;
   double deadline_ms = 0.0;  ///< absolute
   /// Predicted simulated time the tenant's token bucket funds this
   /// request behind its existing backlog (stamped by Enqueue; equals
-  /// arrival_ms when quotas are off/unlimited). The critical-path
-  /// decomposer splits queue wait into quota delay [arrival, quota_open]
-  /// vs slot wait [quota_open, dispatch] along this boundary.
+  /// arrival_ms when quotas are off/unlimited, and on the FIFO path).
+  /// The critical-path decomposer splits queue wait into quota delay
+  /// [arrival, quota_open] vs slot wait [quota_open, dispatch] along
+  /// this boundary.
   double quota_open_ms = 0.0;
   std::shared_ptr<ModelSnapshot> snap;  ///< version bound at admission
   Tensor input;              ///< flat copy, (in_elems)

@@ -12,30 +12,6 @@ namespace dlsys {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// The DLSYS_COUNTER_ADD macro caches its Counter* in a function-local
-// static, which is wrong for names built from tenant ids; tenant-keyed
-// metrics go through the registry-direct dynamic-name helpers. The
-// DLSYS_OBS guard keeps the name concatenation out of obs-off builds.
-void TenantCounterAdd(const std::string& tenant, const char* what,
-                      int64_t delta) {
-#if DLSYS_OBS
-  obs::CounterAddDynamic("serve.tenant." + tenant + "." + what, delta);
-#else
-  (void)tenant;
-  (void)what;
-  (void)delta;
-#endif
-}
-
-void TenantLatencyRecord(const std::string& tenant, double ms) {
-#if DLSYS_OBS
-  obs::HistogramRecordDynamic("serve.tenant." + tenant + ".latency_ms", ms);
-#else
-  (void)tenant;
-  (void)ms;
-#endif
-}
 }  // namespace
 
 Result<std::unique_ptr<Server>> Server::Create(ModelRegistry* registry,
@@ -85,7 +61,7 @@ Result<int64_t> Server::Publish(const std::string& model,
   return registry_->Publish(model, std::move(snap).value());
 }
 
-int64_t Server::BatchPrefix(const std::deque<QueueEntry>& queue,
+int64_t Server::BatchPrefix(const std::deque<SlotRequest>& queue,
                             double* ready_ms) const {
   const int64_t mb = config_.batch.max_batch;
   const ModelSnapshot* snap = queue.front().snap.get();
@@ -141,10 +117,8 @@ Server::SubmitResult Server::Submit(const std::string& model,
   const int64_t trace_rid =
       rtrace != nullptr && rtrace->rid >= 0 ? rtrace->rid : -1;
   const int64_t erid = trace_rid >= 0 ? trace_rid : result.id;
-  ++offered_;
   ++ts.offered;
   DLSYS_COUNTER_ADD("serve.offered", 1);
-  TenantCounterAdd(tenant_name, "offered", 1);
 
   std::shared_ptr<ModelSnapshot> snap = registry_->Acquire(model);
   if (snap == nullptr) {
@@ -207,7 +181,7 @@ Server::SubmitResult Server::Submit(const std::string& model,
     double tail_front_arrival = 0.0;
     const ModelSnapshot* tail_snap = nullptr;
     for (int64_t i = 0; i < depth;) {
-      const std::deque<QueueEntry>& q = qit->second;
+      const std::deque<SlotRequest>& q = qit->second;
       const ModelSnapshot* gs = q[i].snap.get();
       int64_t n = 0;
       while (i + n < depth && n < mb && q[i + n].snap.get() == gs) ++n;
@@ -249,28 +223,22 @@ Server::SubmitResult Server::Submit(const std::string& model,
   decision_config.cost = scaled_cost;
   switch (DecideAdmission(decision_config, in)) {
     case AdmissionDecision::kShedQueueFull:
-      ++shed_queue_full_;
       ++ts.shed_queue_full;
       DLSYS_COUNTER_ADD("serve.shed.queue_full", 1);
-      TenantCounterAdd(tenant_name, "shed.queue_full", 1);
       DLSYS_TRACE_INSTANT_SIM("serve.shed.queue_full", "serve", arrival_ms,
                               erid);
       result.outcome = Outcome::kShedQueueFull;
       return result;
     case AdmissionDecision::kShedDeadline:
-      ++shed_deadline_;
       ++ts.shed_deadline;
       DLSYS_COUNTER_ADD("serve.shed.deadline_infeasible", 1);
-      TenantCounterAdd(tenant_name, "shed.deadline_infeasible", 1);
       DLSYS_TRACE_INSTANT_SIM("serve.shed.deadline_infeasible", "serve",
                               arrival_ms, erid);
       result.outcome = Outcome::kShedDeadline;
       return result;
     case AdmissionDecision::kShedDraining:
-      ++shed_draining_;
       ++ts.shed_draining;
       DLSYS_COUNTER_ADD("serve.shed.draining", 1);
-      TenantCounterAdd(tenant_name, "shed.draining", 1);
       DLSYS_TRACE_INSTANT_SIM("serve.shed.draining", "serve", arrival_ms,
                               erid);
       result.outcome = Outcome::kShedDraining;
@@ -279,44 +247,32 @@ Server::SubmitResult Server::Submit(const std::string& model,
       break;
   }
 
-  ++admitted_;
   ++ts.admitted;
   DLSYS_COUNTER_ADD("serve.admitted", 1);
-  TenantCounterAdd(tenant_name, "admitted", 1);
   DLSYS_TRACE_INSTANT_SIM("serve.admit", "serve", arrival_ms, erid);
 
+  SlotRequest req;
+  req.id = result.id;
+  req.trace_rid = trace_rid;
+  req.tenant = tenant_name;
+  req.arrival_ms = arrival_ms;
+  // Slot mode's Enqueue restamps this with the tenant's quota horizon;
+  // the FIFO path has no quota gate, so its whole queue wait is slot
+  // (batch) wait in the decomposition.
+  req.quota_open_ms = arrival_ms;
+  req.deadline_ms = arrival_ms + budget;
+  req.input = Tensor({snap->in_elems});
+  std::copy(example.data(), example.data() + snap->in_elems,
+            req.input.data());
+  req.snap = std::move(snap);
   if (slot_mode) {
-    SlotRequest req;
-    req.id = result.id;
-    req.trace_rid = trace_rid;
-    req.tenant = tenant_name;
     req.priority = scheduler_->PolicyFor(tenant_name).priority;
-    req.arrival_ms = arrival_ms;
-    req.deadline_ms = arrival_ms + budget;
-    req.input = Tensor({snap->in_elems});
-    std::copy(example.data(), example.data() + snap->in_elems,
-              req.input.data());
-    req.snap = std::move(snap);
     scheduler_->Enqueue(std::move(req));
     // Seat the request immediately if a lane is free (or frees exactly
     // now), and let idle workers depart with whatever is loaded.
     SlotAdvance(arrival_ms, /*strict=*/false);
   } else {
-    QueueEntry entry;
-    entry.id = result.id;
-    entry.trace_rid = trace_rid;
-    entry.tenant = tenant_name;
-    entry.arrival_ms = arrival_ms;
-    // Legacy batch mode has no quota gate: the whole queue wait is slot
-    // (batch) wait in the decomposition.
-    entry.quota_open_ms = arrival_ms;
-    entry.deadline_ms = arrival_ms + budget;
-    entry.input = Tensor({snap->in_elems});
-    std::copy(example.data(), example.data() + snap->in_elems,
-              entry.input.data());
-    entry.snap = std::move(snap);
-    queues_[model].push_back(std::move(entry));
-
+    queues_[model].push_back(std::move(req));
     // Now dispatch anything due *at* arrival_ms too — a full batch formed
     // by this request, or a delay expiring on this exact tick.
     DispatchDue(arrival_ms, /*strict=*/false);
@@ -337,7 +293,7 @@ int64_t Server::DropQueued() {
   if (scheduler_ != nullptr) {
     dropped += scheduler_->DropAll();
     dropped += slots_->DropLoaded(clock_ms_);
-    for (std::vector<QueueEntry>& lane : loaded_) lane.clear();
+    for (std::vector<SlotRequest>& lane : loaded_) lane.clear();
   }
   for (auto& [name, queue] : queues_) {
     dropped += static_cast<int64_t>(queue.size());
@@ -379,39 +335,10 @@ void Server::AdvanceTo(double now_ms) {
 }
 
 double Server::NextActionableMs() const {
-  double best = -1.0;
-  const auto consider = [&best](double t) {
-    if (best < 0.0 || t < best) best = t;
-  };
-  if (scheduler_ != nullptr) {
-    // In-flight steps complete at their modeled finish times; each
-    // completion frees lanes and may start the worker's next step.
-    bool any_free_lane = false;
-    for (int w = 0; w < config_.workers; ++w) {
-      if (slots_->ExecutingCount(w) > 0) consider(worker_free_ms_[w]);
-      if (slots_->FreeLanes(w) > 0) any_free_lane = true;
-    }
-    // A quota refill strictly in the future can unblock a queued request.
-    // Anything eligible *now* is already seated (SlotAdvance leaves the
-    // pool saturated), so a refill at or before the clock is not an
-    // event; and if free lanes exist only behind a version-homogeneity
-    // constraint, the constraining worker is necessarily executing, so a
-    // completion event already covers progress.
-    if (scheduler_->depth() > 0 && any_free_lane) {
-      const double q = scheduler_->NextEligibleMs(clock_ms_);
-      if (q > clock_ms_) consider(q);
-    }
-    return best;
-  }
-  for (const auto& [name, queue] : queues_) {
-    if (queue.empty()) continue;
-    double ready = 0.0;
-    BatchPrefix(queue, &ready);
-    const double t = std::max(
-        ready, *std::min_element(worker_free_ms_.begin(), worker_free_ms_.end()));
-    consider(t);
-  }
-  return best;
+  std::string model;
+  const double t = scheduler_ != nullptr ? SlotNextEventMs(clock_ms_)
+                                         : FifoNextDispatchMs(&model);
+  return t == kInf ? -1.0 : t;
 }
 
 void Server::Drain() {
@@ -422,64 +349,164 @@ void Server::Drain() {
   }
 }
 
-void Server::DispatchDue(double limit_ms, bool strict) {
-  while (true) {
-    double best_time = kInf;
-    std::string best_model;
-    for (const auto& [name, queue] : queues_) {
-      if (queue.empty()) continue;
-      double ready = 0.0;
-      BatchPrefix(queue, &ready);
-      const double t =
-          std::max(ready, *std::min_element(worker_free_ms_.begin(),
-                                            worker_free_ms_.end()));
-      if (t < best_time) {  // map order breaks ties by model name
-        best_time = t;
-        best_model = name;
-      }
+double Server::FifoNextDispatchMs(std::string* model) const {
+  const double free =
+      *std::min_element(worker_free_ms_.begin(), worker_free_ms_.end());
+  double best = kInf;
+  for (const auto& [name, queue] : queues_) {
+    if (queue.empty()) continue;
+    double ready = 0.0;
+    BatchPrefix(queue, &ready);
+    const double t = std::max(ready, free);
+    if (t < best) {  // map order breaks ties by model name
+      best = t;
+      *model = name;
     }
-    if (best_model.empty()) break;
-    if (strict ? best_time >= limit_ms : best_time > limit_ms) break;
-    StageDispatch(&queues_[best_model], best_time);
+  }
+  return best;
+}
+
+void Server::DispatchDue(double limit_ms, bool strict) {
+  std::string model;
+  while (true) {
+    const double t = FifoNextDispatchMs(&model);
+    if (t == kInf || (strict ? t >= limit_ms : t > limit_ms)) break;
+    std::deque<SlotRequest>& queue = queues_[model];
+    double ready = 0.0;
+    const auto n = static_cast<std::ptrdiff_t>(BatchPrefix(queue, &ready));
+    // Lowest-index earliest-free worker, so assignment is deterministic.
+    const int worker = static_cast<int>(
+        std::min_element(worker_free_ms_.begin(), worker_free_ms_.end()) -
+        worker_free_ms_.begin());
+    std::vector<SlotRequest> members(
+        std::make_move_iterator(queue.begin()),
+        std::make_move_iterator(queue.begin() + n));
+    queue.erase(queue.begin(), queue.begin() + n);
+    StageBatch(std::move(members), worker, t);
   }
   FlushWave();
 }
 
-void Server::StageDispatch(std::deque<QueueEntry>* queue, double dispatch_ms) {
-  double ready = 0.0;
-  const int64_t n = BatchPrefix(*queue, &ready);
-  const std::shared_ptr<ModelSnapshot>& snap = queue->front().snap;
-
-  // Lowest-index earliest-free worker, so assignment is deterministic.
-  int worker = 0;
-  for (int w = 1; w < config_.workers; ++w) {
-    if (worker_free_ms_[w] < worker_free_ms_[worker]) worker = w;
+double Server::SlotNextEventMs(double now_ms) const {
+  // In-flight steps complete at their modeled finish times; each
+  // completion frees lanes and may start the worker's next step.
+  double next = kInf;
+  bool any_free_lane = false;
+  for (int w = 0; w < config_.workers; ++w) {
+    if (slots_->ExecutingCount(w) > 0) {
+      next = std::min(next, worker_free_ms_[w]);
+    }
+    if (slots_->FreeLanes(w) > 0) any_free_lane = true;
   }
+  // A quota refill strictly in the future can unblock a queued request.
+  // Anything eligible *now* is already seated (SlotAdvance leaves the
+  // pool saturated), so a refill at or before now_ms is not an event;
+  // and if free lanes exist only behind a version-homogeneity
+  // constraint, the constraining worker is necessarily executing, so a
+  // completion event already covers progress.
+  if (scheduler_->depth() > 0 && any_free_lane) {
+    const double q = scheduler_->NextEligibleMs(now_ms);
+    if (q > now_ms) next = std::min(next, q);
+  }
+  return next;
+}
+
+void Server::SlotAdvance(double limit_ms, bool strict) {
+  // Seat anything already eligible at the current clock (usually a no-op:
+  // every public mutation leaves the pool saturated).
+  double cursor = clock_ms_;
+  SlotRefillAndStart(cursor);
+  while (true) {
+    const double next = SlotNextEventMs(cursor);
+    if (next == kInf || (strict ? next >= limit_ms : next > limit_ms)) break;
+    cursor = std::max(cursor, next);
+    // Complete every step due at the event time; freed lanes refill from
+    // the scheduler at once and idle workers depart immediately — no
+    // drain barrier between steps.
+    for (int w = 0; w < config_.workers; ++w) {
+      if (slots_->ExecutingCount(w) > 0 && worker_free_ms_[w] <= cursor) {
+        slots_->CompleteStep(w, cursor);
+      }
+    }
+    SlotRefillAndStart(cursor);
+  }
+  FlushWave();
+}
+
+void Server::SlotRefillAndStart(double now_ms) {
+  while (true) {
+    int placed = 0;
+    // Fill workers in service order — the worker whose next step departs
+    // soonest first, lowest index on ties — so a request the scheduler
+    // releases lands where it completes earliest.
+    std::vector<int> order(static_cast<size_t>(config_.workers));
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+      return std::max(worker_free_ms_[a], now_ms) <
+             std::max(worker_free_ms_[b], now_ms);
+    });
+    for (int w : order) {
+      std::vector<SlotRequest>& lanes = loaded_[static_cast<size_t>(w)];
+      while (slots_->FreeLanes(w) > 0) {
+        // A worker's pending lanes stay version-homogeneous: once a lane
+        // is loaded, further loads must match its snapshot. An empty
+        // worker accepts anything.
+        TenantScheduler::SnapFilter filter;
+        if (!lanes.empty()) {
+          const ModelSnapshot* pending = lanes.front().snap.get();
+          filter = [pending](const ModelSnapshot* s) { return s == pending; };
+        }
+        std::optional<SlotRequest> pick = scheduler_->PickNext(now_ms, filter);
+        if (!pick.has_value()) break;
+        pick->slot = slots_->Load(w, pick->id, now_ms);
+        lanes.push_back(std::move(*pick));
+        ++placed;
+      }
+    }
+    int started = 0;
+    for (int w = 0; w < config_.workers; ++w) {
+      std::vector<SlotRequest>& lanes = loaded_[static_cast<size_t>(w)];
+      if (slots_->ExecutingCount(w) == 0 && !lanes.empty()) {
+        const int n = slots_->BeginStep(w, now_ms);
+        DLSYS_CHECK(n == static_cast<int>(lanes.size()),
+                    "loaded payloads out of sync with loaded lanes");
+        StageBatch(std::exchange(lanes, {}), w, now_ms);
+        ++started;
+      }
+    }
+    // A departed step clears its worker's version constraint, which can
+    // unlock further loads — loop until the pool is saturated.
+    if (placed == 0 && started == 0) break;
+  }
+}
+
+void Server::StageBatch(std::vector<SlotRequest> members, int worker,
+                        double dispatch_ms) {
+  const ModelSnapshot* snap = members.front().snap.get();
   // A replica's staging buffers hold exactly one batch; if this (snapshot,
   // worker) pair is already staged in the pending wave, execute the wave
   // before overwriting them.
   for (const ExecTask& t : wave_) {
-    if (t.snap.get() == snap.get() && t.worker == worker) {
+    if (t.snap.get() == snap && t.worker == worker) {
       FlushWave();
       break;
     }
   }
 
   ExecTask task;
-  task.snap = snap;  // copy before moving entries out of the queue
+  task.snap = members.front().snap;
   task.worker = worker;
-  task.batch_size = n;
+  task.batch_size = static_cast<int64_t>(members.size());
   task.dispatch_ms = dispatch_ms;
-  task.finish_ms = dispatch_ms + EstimateServiceMs(ScaledCost(), n);
-  task.members.reserve(static_cast<size_t>(n));
-  ModelSnapshot::Replica& rep = task.snap->replicas[worker];
-  for (int64_t j = 0; j < n; ++j) {
-    QueueEntry entry = std::move(queue->front());
-    queue->pop_front();
-    std::copy(entry.input.data(), entry.input.data() + task.snap->in_elems,
-              rep.in_staging.data() + j * task.snap->in_elems);
-    task.members.push_back(std::move(entry));
+  task.finish_ms = dispatch_ms + EstimateServiceMs(ScaledCost(),
+                                                   task.batch_size);
+  const int64_t in_elems = task.snap->in_elems;
+  float* staging = task.snap->replicas[worker].in_staging.data();
+  for (size_t j = 0; j < members.size(); ++j) {
+    std::copy(members[j].input.data(), members[j].input.data() + in_elems,
+              staging + static_cast<int64_t>(j) * in_elems);
   }
+  task.members = std::move(members);
   worker_free_ms_[worker] = task.finish_ms;
   ++batches_;
   DLSYS_COUNTER_ADD("serve.batches", 1);
@@ -516,12 +543,12 @@ void Server::FlushWave() {
     DLSYS_HISTOGRAM_RECORD("serve.measured_service_ms",
                            task.measured_service_ms);
     for (size_t j = 0; j < task.members.size(); ++j) {
-      QueueEntry& entry = task.members[j];
+      const SlotRequest& entry = task.members[j];
       Completion c;
       c.id = entry.id;
       c.rid = entry.trace_rid >= 0 ? entry.trace_rid : entry.id;
       c.model = task.snap->model;
-      c.tenant = entry.tenant.empty() ? std::string("default") : entry.tenant;
+      c.tenant = entry.tenant;
       c.version = task.snap->version;
       c.arrival_ms = entry.arrival_ms;
       // The quota horizon was a prediction at enqueue time; DWFQ rotation
@@ -541,12 +568,16 @@ void Server::FlushWave() {
       const float* row =
           rep.out_staging.data() + static_cast<int64_t>(j) * task.snap->out_elems;
       std::copy(row, row + task.snap->out_elems, c.output.data());
+      const double latency = c.finish_ms - c.arrival_ms;
+      TenantStats& ts = tenants_[c.tenant];
+      ++ts.completed;
       if (c.deadline_missed) {
-        ++deadline_missed_;
+        ++ts.deadline_missed;
         DLSYS_COUNTER_ADD("serve.deadline_missed", 1);
       }
-      latency_.Record(c.finish_ms - c.arrival_ms);
-      DLSYS_HISTOGRAM_RECORD("serve.latency_ms", c.finish_ms - c.arrival_ms);
+      ts.latency.Record(latency);
+      latency_.Record(latency);
+      DLSYS_HISTOGRAM_RECORD("serve.latency_ms", latency);
       DLSYS_COUNTER_ADD("serve.completed", 1);
       // The request's whole life on the simulated-clock track, keyed by
       // rid: a queue umbrella (admission -> dispatch) with quota-wait and
@@ -587,179 +618,22 @@ void Server::FlushWave() {
       DLSYS_TRACE_INSTANT_SIM("serve.respond", "serve", c.finish_ms, c.rid);
 #endif
       ++served_[c.model][c.version];
-      RecordTenantCompletion(c);
       completions_.push_back(std::move(c));
     }
   }
   wave_.clear();
 }
 
-void Server::RecordTenantCompletion(const Completion& completion) {
-  TenantStats& ts = tenants_[completion.tenant];
-  ++ts.completed;
-  TenantCounterAdd(completion.tenant, "completed", 1);
-  if (completion.deadline_missed) {
-    ++ts.deadline_missed;
-    TenantCounterAdd(completion.tenant, "deadline_missed", 1);
-  }
-  const double latency = completion.finish_ms - completion.arrival_ms;
-  ts.latency.Record(latency);
-  TenantLatencyRecord(completion.tenant, latency);
-}
-
-void Server::SlotAdvance(double limit_ms, bool strict) {
-  // Seat anything already eligible at the current clock (usually a no-op:
-  // every public mutation leaves the pool saturated).
-  double cursor = clock_ms_;
-  SlotRefillAndStart(cursor);
-  while (true) {
-    // Next event: the earliest in-flight step completion, or the earliest
-    // strictly-future quota refill that could seat a queued request.
-    double next = kInf;
-    bool any_free_lane = false;
-    for (int w = 0; w < config_.workers; ++w) {
-      if (slots_->ExecutingCount(w) > 0) {
-        next = std::min(next, worker_free_ms_[w]);
-      }
-      if (slots_->FreeLanes(w) > 0) any_free_lane = true;
-    }
-    if (scheduler_->depth() > 0 && any_free_lane) {
-      const double q = scheduler_->NextEligibleMs(cursor);
-      if (q > cursor) next = std::min(next, q);
-    }
-    if (next == kInf) break;
-    if (strict ? next >= limit_ms : next > limit_ms) break;
-    cursor = std::max(cursor, next);
-    // Complete every step due at the event time; freed lanes refill from
-    // the scheduler at once and idle workers depart immediately — no
-    // drain barrier between steps.
-    for (int w = 0; w < config_.workers; ++w) {
-      if (slots_->ExecutingCount(w) > 0 && worker_free_ms_[w] <= cursor) {
-        slots_->CompleteStep(w, cursor);
-      }
-    }
-    SlotRefillAndStart(cursor);
-  }
-  FlushWave();
-}
-
-int Server::SlotRefillAndStart(double now_ms) {
-  int placed_total = 0;
-  while (true) {
-    int placed = 0;
-    // Fill workers in service order — the worker whose next step departs
-    // soonest first, lowest index on ties — so a request the scheduler
-    // releases lands where it completes earliest.
-    std::vector<int> order(static_cast<size_t>(config_.workers));
-    std::iota(order.begin(), order.end(), 0);
-    std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
-      return std::max(worker_free_ms_[a], now_ms) <
-             std::max(worker_free_ms_[b], now_ms);
-    });
-    for (int w : order) {
-      while (slots_->FreeLanes(w) > 0) {
-        // A worker's pending lanes stay version-homogeneous: once a lane
-        // is loaded, further loads must match its snapshot. An empty
-        // worker accepts anything.
-        TenantScheduler::SnapFilter filter;
-        if (!loaded_[static_cast<size_t>(w)].empty()) {
-          const ModelSnapshot* pending =
-              loaded_[static_cast<size_t>(w)].front().snap.get();
-          filter = [pending](const ModelSnapshot* s) { return s == pending; };
-        }
-        std::optional<SlotRequest> pick = scheduler_->PickNext(now_ms, filter);
-        if (!pick.has_value()) break;
-        const int slot = slots_->Load(w, pick->id, now_ms);
-        QueueEntry entry;
-        entry.id = pick->id;
-        entry.trace_rid = pick->trace_rid;
-        entry.tenant = std::move(pick->tenant);
-        entry.slot = slot;
-        entry.arrival_ms = pick->arrival_ms;
-        entry.quota_open_ms = pick->quota_open_ms;
-        entry.deadline_ms = pick->deadline_ms;
-        entry.snap = std::move(pick->snap);
-        entry.input = std::move(pick->input);
-        loaded_[static_cast<size_t>(w)].push_back(std::move(entry));
-        ++placed;
-        ++placed_total;
-      }
-    }
-    int started = 0;
-    for (int w = 0; w < config_.workers; ++w) {
-      if (slots_->ExecutingCount(w) == 0 &&
-          !loaded_[static_cast<size_t>(w)].empty()) {
-        SlotStartStep(w, now_ms);
-        ++started;
-      }
-    }
-    // A departed step clears its worker's version constraint, which can
-    // unlock further loads — loop until the pool is saturated.
-    if (placed == 0 && started == 0) break;
-  }
-  return placed_total;
-}
-
-void Server::SlotStartStep(int worker, double now_ms) {
-  std::vector<QueueEntry>& members = loaded_[static_cast<size_t>(worker)];
-  const int n = slots_->BeginStep(worker, now_ms);
-  DLSYS_CHECK(n == static_cast<int>(members.size()),
-              "loaded payloads out of sync with loaded lanes");
-  const std::shared_ptr<ModelSnapshot>& snap = members.front().snap;
-  // A replica's staging buffers hold exactly one batch; if this (snapshot,
-  // worker) pair is already staged in the pending wave, execute the wave
-  // before overwriting them.
-  for (const ExecTask& t : wave_) {
-    if (t.snap.get() == snap.get() && t.worker == worker) {
-      FlushWave();
-      break;
-    }
-  }
-
-  ExecTask task;
-  task.snap = snap;
-  task.worker = worker;
-  task.batch_size = n;
-  task.dispatch_ms = now_ms;
-  task.finish_ms = now_ms + EstimateServiceMs(ScaledCost(), n);
-  task.members.reserve(members.size());
-  ModelSnapshot::Replica& rep = task.snap->replicas[worker];
-  for (size_t j = 0; j < members.size(); ++j) {
-    std::copy(members[j].input.data(),
-              members[j].input.data() + task.snap->in_elems,
-              rep.in_staging.data() + static_cast<int64_t>(j) *
-                                          task.snap->in_elems);
-    task.members.push_back(std::move(members[j]));
-  }
-  members.clear();
-  worker_free_ms_[worker] = task.finish_ms;
-  ++batches_;
-  DLSYS_COUNTER_ADD("serve.batches", 1);
-  wave_.push_back(std::move(task));
-}
-
 MetricsReport Server::metrics() const {
   MetricsReport report;
-  report.Set("serve.offered", static_cast<double>(offered_));
-  report.Set("serve.admitted", static_cast<double>(admitted_));
-  report.Set("serve.shed.queue_full", static_cast<double>(shed_queue_full_));
-  report.Set("serve.shed.deadline_infeasible",
-             static_cast<double>(shed_deadline_));
-  report.Set("serve.shed.draining", static_cast<double>(shed_draining_));
-  report.Set("serve.dropped_queued", static_cast<double>(dropped_queued_));
-  report.Set("serve.no_such_model", static_cast<double>(no_such_model_));
-  report.Set("serve.deadline_missed", static_cast<double>(deadline_missed_));
-  report.Set("serve.batches", static_cast<double>(batches_));
-  report.Set("serve.swaps", static_cast<double>(registry_->swap_count()));
-  for (const auto& [model, by_version] : served_) {
-    for (const auto& [version, count] : by_version) {
-      report.Set("serve." + model + ".served_v" + std::to_string(version),
-                 static_cast<double>(count));
-    }
-  }
-  latency_.ReportInto(&report, "serve.latency");
-  measured_.ReportInto(&report, "serve.measured");
+  TenantStats total;
   for (const auto& [name, ts] : tenants_) {
+    total.offered += ts.offered;
+    total.admitted += ts.admitted;
+    total.deadline_missed += ts.deadline_missed;
+    total.shed_queue_full += ts.shed_queue_full;
+    total.shed_deadline += ts.shed_deadline;
+    total.shed_draining += ts.shed_draining;
     const std::string prefix = "serve.tenant." + name;
     report.Set(prefix + ".offered", static_cast<double>(ts.offered));
     report.Set(prefix + ".admitted", static_cast<double>(ts.admitted));
@@ -774,6 +648,27 @@ MetricsReport Server::metrics() const {
                static_cast<double>(ts.shed_draining));
     ts.latency.ReportInto(&report, prefix + ".latency");
   }
+  report.Set("serve.offered", static_cast<double>(total.offered));
+  report.Set("serve.admitted", static_cast<double>(total.admitted));
+  report.Set("serve.shed.queue_full",
+             static_cast<double>(total.shed_queue_full));
+  report.Set("serve.shed.deadline_infeasible",
+             static_cast<double>(total.shed_deadline));
+  report.Set("serve.shed.draining", static_cast<double>(total.shed_draining));
+  report.Set("serve.dropped_queued", static_cast<double>(dropped_queued_));
+  report.Set("serve.no_such_model", static_cast<double>(no_such_model_));
+  report.Set("serve.deadline_missed",
+             static_cast<double>(total.deadline_missed));
+  report.Set("serve.batches", static_cast<double>(batches_));
+  report.Set("serve.swaps", static_cast<double>(registry_->swap_count()));
+  for (const auto& [model, by_version] : served_) {
+    for (const auto& [version, count] : by_version) {
+      report.Set("serve." + model + ".served_v" + std::to_string(version),
+                 static_cast<double>(count));
+    }
+  }
+  latency_.ReportInto(&report, "serve.latency");
+  measured_.ReportInto(&report, "serve.measured");
   return report;
 }
 

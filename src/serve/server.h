@@ -45,8 +45,14 @@
 /// immediately from the TenantScheduler (src/serve/scheduler.h) under
 /// priority classes, per-tenant token-bucket quotas, and deficit-
 /// weighted-fair queueing, and an idle worker dispatches whatever is
-/// loaded without waiting for a batch to fill or drain. Requests carry a
-/// tenant id either way; per-tenant accounting is mode-independent.
+/// loaded without waiting for a batch to fill or drain.
+///
+/// Only that batch-forming decision differs between the modes. Both
+/// carry each admitted request as one SlotRequest record, stage a formed
+/// batch through the same routine (flush the wave if the replica is
+/// already staged, copy inputs into staging, mark the worker busy), and
+/// keep one per-tenant tally (TenantStats) whose sums are the
+/// server-wide counts metrics() reports.
 ///
 /// ## Version binding and hot swap
 ///
@@ -243,20 +249,6 @@ class Server {
   MetricsReport metrics() const;
 
  private:
-  /// One admitted, not-yet-dispatched request.
-  struct QueueEntry {
-    int64_t id = 0;
-    int64_t trace_rid = -1;    ///< fleet rid from RequestTrace, -1 local
-    std::string tenant;        ///< normalized tenant id
-    int slot = -1;             ///< bound slot index (slot mode only)
-    double arrival_ms = 0.0;
-    double quota_open_ms = 0.0;  ///< predicted quota horizon (= arrival
-                                 ///< in legacy mode)
-    double deadline_ms = 0.0;  ///< absolute
-    std::shared_ptr<ModelSnapshot> snap;
-    Tensor input;  ///< flat copy, (in_elems)
-  };
-
   /// One dispatched batch awaiting real execution in the current wave.
   struct ExecTask {
     std::shared_ptr<ModelSnapshot> snap;
@@ -264,7 +256,7 @@ class Server {
     int64_t batch_size = 0;
     double dispatch_ms = 0.0;
     double finish_ms = 0.0;
-    std::vector<QueueEntry> members;
+    std::vector<SlotRequest> members;
     double measured_service_ms = 0.0;  ///< stamped by the executing thread
     Status status;                     ///< engine verdict, checked on flush
   };
@@ -276,27 +268,34 @@ class Server {
 
   /// Size of the version-homogeneous FIFO prefix (<= max_batch) and the
   /// simulated time it becomes dispatchable.
-  int64_t BatchPrefix(const std::deque<QueueEntry>& queue,
+  int64_t BatchPrefix(const std::deque<SlotRequest>& queue,
                       double* ready_ms) const;
-  /// Dispatches every due batch: strictly before \p limit_ms when
-  /// \p strict, else at or before it.
+  /// FIFO mode: earliest simulated time any model queue's front batch can
+  /// dispatch (ready and a worker free), or +inf when every queue is
+  /// empty; the winning model (map order breaks ties) goes to \p model.
+  double FifoNextDispatchMs(std::string* model) const;
+  /// FIFO mode: dispatches every due batch, strictly before \p limit_ms
+  /// when \p strict, else at or before it. Ends with a FlushWave.
   void DispatchDue(double limit_ms, bool strict);
-  /// Pops the front batch of \p queue and stages it onto a worker.
-  void StageDispatch(std::deque<QueueEntry>* queue, double dispatch_ms);
-  /// Runs the staged wave on the thread pool and records completions.
-  void FlushWave();
 
-  /// Slot-mode event loop: processes step completions and quota refills
-  /// in simulated-time order, strictly before \p limit_ms when \p strict,
+  /// Slot mode: earliest event after \p now_ms — an in-flight step
+  /// completion, or a strictly-future quota refill that could seat a
+  /// queued request — or +inf when none is pending.
+  double SlotNextEventMs(double now_ms) const;
+  /// Slot mode: processes step completions and quota refills in
+  /// simulated-time order, strictly before \p limit_ms when \p strict,
   /// else at or before it. Ends with a FlushWave.
   void SlotAdvance(double limit_ms, bool strict);
-  /// Refills free lanes from the scheduler and starts steps on idle
-  /// workers at \p now_ms; returns how many requests were placed.
-  int SlotRefillAndStart(double now_ms);
-  /// Departs \p worker's loaded lanes as one real batch at \p now_ms.
-  void SlotStartStep(int worker, double now_ms);
-  /// Folds one finished request into per-tenant and global accounting.
-  void RecordTenantCompletion(const Completion& completion);
+  /// Slot mode: refills free lanes from the scheduler and starts steps on
+  /// idle workers at \p now_ms, until the pool is saturated.
+  void SlotRefillAndStart(double now_ms);
+
+  /// Stages \p members (one version-homogeneous batch) onto \p worker's
+  /// replica as a task of the pending wave, dispatched at \p dispatch_ms.
+  void StageBatch(std::vector<SlotRequest> members, int worker,
+                  double dispatch_ms);
+  /// Runs the staged wave on the thread pool and records completions.
+  void FlushWave();
 
   ModelRegistry* registry_;
   ServerConfig config_;
@@ -306,32 +305,27 @@ class Server {
   int64_t next_id_ = 0;
   bool draining_ = false;
   double cost_scale_ = 1.0;
-  std::map<std::string, std::deque<QueueEntry>> queues_;
+  std::map<std::string, std::deque<SlotRequest>> queues_;  ///< FIFO mode
   std::vector<double> worker_free_ms_;
   std::vector<ExecTask> wave_;
 
   // Slot mode (config_.scheduler.use_slots): the tenant scheduler holds
   // queued requests, the pool tracks lane states, loaded_[w] holds the
-  // payloads bound to worker w's loaded lanes in load order.
+  // requests bound to worker w's loaded lanes in load order.
   std::unique_ptr<TenantScheduler> scheduler_;
   std::unique_ptr<SlotPool> slots_;
-  std::vector<std::vector<QueueEntry>> loaded_;
+  std::vector<std::vector<SlotRequest>> loaded_;
 
   std::vector<Completion> completions_;
   LatencyHistogram latency_;
   LatencyHistogram measured_;
-  int64_t offered_ = 0;
-  int64_t admitted_ = 0;
-  int64_t shed_queue_full_ = 0;
-  int64_t shed_deadline_ = 0;
-  int64_t shed_draining_ = 0;
   int64_t dropped_queued_ = 0;
   int64_t no_such_model_ = 0;
-  int64_t deadline_missed_ = 0;
   int64_t batches_ = 0;
   /// served request count per (model, version)
   std::map<std::string, std::map<int64_t, int64_t>> served_;
-  /// per-tenant tallies, mode-independent (name order)
+  /// per-tenant tallies, mode-independent (name order); the server-wide
+  /// offered/admitted/shed/deadline_missed counts are their sums
   std::map<std::string, TenantStats> tenants_;
 };
 

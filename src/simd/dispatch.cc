@@ -27,7 +27,9 @@ bool CpuCanRun(Isa isa) {
 #endif
     case Isa::kAvx512:
 #if defined(__x86_64__) || defined(__i386__)
-      return __builtin_cpu_supports("avx512f") != 0 &&
+      // The AVX-512 table borrows the AVX2 q8/q4 bodies.
+      return __builtin_cpu_supports("avx2") != 0 &&
+             __builtin_cpu_supports("avx512f") != 0 &&
              __builtin_cpu_supports("avx512bw") != 0 &&
              __builtin_cpu_supports("avx512vl") != 0 &&
              __builtin_cpu_supports("avx512dq") != 0;

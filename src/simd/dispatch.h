@@ -7,12 +7,20 @@
 /// \brief Runtime CPU-feature dispatch for the hot GEMM microkernels.
 ///
 /// The binary carries one kernel table per instruction set — scalar
-/// (always), AVX2, and AVX-512 (F+BW+VL+DQ) — each compiled in its own
-/// translation unit with exactly the target flags it needs. At first use
-/// the registry probes the CPU (GCC/Clang __builtin_cpu_supports) and
-/// selects the best table the machine can run; every public kernel entry
-/// point in src/tensor then fetches the active table and hands its range
-/// functions to ParallelFor.
+/// (always), AVX2, and AVX-512 (F+BW+VL+DQ). The AVX tables are compiled
+/// in their own translation units with exactly the target flags they
+/// need; the scalar table is built with -march=native when the compiler
+/// accepts it (src/CMakeLists.txt), so it is auto-vectorized for the
+/// build host and the binary as a whole targets that host, not any CPU.
+/// At first use the registry probes the CPU (GCC/Clang
+/// __builtin_cpu_supports) and selects the best table the machine can
+/// run; every public kernel entry point in src/tensor then fetches the
+/// active table and hands its range functions to ParallelFor.
+///
+/// A table is a set of entries, not one ISA's code throughout: the
+/// AVX-512 table's q8_gemm_rows and q4_gemm_rows entries are the AVX2
+/// bodies (Q8GemmRowsAvx2 / Q4GemmRowsAvx2), which time faster on
+/// AVX-512 hosts, so selecting it requires AVX2 as well.
 ///
 /// ## Forcing a path
 ///
@@ -30,10 +38,12 @@
 ///
 /// ## Observability
 ///
-/// Each dispatched kernel launch tags its trace span with the ISA-specific
+/// Each dispatched kernel launch tags its trace span with the table's
 /// category ("kernel.scalar" / "kernel.avx2" / "kernel.avx512") and bumps
 /// the `kernel.dispatch.<isa>` counter, so an exported Perfetto trace or a
-/// registry snapshot shows which microkernel actually ran.
+/// registry snapshot shows which table ran. Both name the *table*, not the
+/// instruction set of every body in it: a q8/q4 launch counted under
+/// avx512 ran the AVX2 body.
 ///
 /// Determinism: dispatch never changes results. fp32 kernels are bitwise
 /// identical across every ISA (see src/simd/kernels.h for the contract);
@@ -51,7 +61,8 @@ namespace simd {
 enum class Isa : int {
   kScalar = 0,  ///< reference kernels; always available
   kAvx2 = 1,    ///< 256-bit float + vpmaddwd integer kernels
-  kAvx512 = 2,  ///< 512-bit kernels (requires F+BW+VL+DQ)
+  kAvx512 = 2,  ///< 512-bit fp32 kernels + the AVX2 q8/q4 bodies
+                ///< (requires AVX2 and F+BW+VL+DQ)
 };
 
 inline constexpr int kNumIsas = 3;

@@ -29,10 +29,14 @@
 ///   element-for-element.
 ///
 /// Each ISA translation unit is compiled with exactly the target flags it
-/// needs (-mavx2 / -mavx512*) and self-guards, so the binary stays safe to
-/// load on any CPU: AVX code only executes after runtime detection.
-/// Non-x86 builds (e.g. aarch64/NEON, currently a stub) fall back to the
-/// scalar table.
+/// needs (-mavx2 / -mavx512*) and self-guards; its code only executes
+/// after runtime detection picks its table. That does not make the binary
+/// portable: the scalar table and the other kernel TUs (ops.cc, conv.cc,
+/// runtime.cc) are built with -march=native when the compiler accepts it
+/// (src/CMakeLists.txt), so the library targets the build host and the
+/// "scalar" table is portable C++ auto-vectorized for that host. Non-x86
+/// builds (e.g. aarch64/NEON, currently a stub) fall back to the scalar
+/// table.
 
 namespace dlsys {
 namespace simd {
@@ -75,6 +79,20 @@ void ConvGemmBiasActColsScalar(const float* a, const float* b,
                                const float* bias, float* c, int64_t m,
                                int64_t k, int64_t n, int64_t j0, int64_t j1,
                                int relu);
+
+// -------------------------------------------------------- AVX2 kernels
+// Shared with the AVX-512 table, which runs these bodies for its q8/q4
+// entries (they time faster than 512-bit variants on AVX-512 hosts; see
+// EXPERIMENTS E34). Defined in kernels_avx2.cc, which is compiled
+// whenever kernels_avx512.cc is (any -mavx512f compiler accepts -mavx2);
+// only call them after the CPU check for the table that holds them.
+
+void Q8GemmRowsAvx2(const int8_t* a, const float* a_scales, const int8_t* b,
+                    const float* b_scales, float* c, int64_t i0, int64_t i1,
+                    int64_t kp, int64_t n);
+void Q4GemmRowsAvx2(const int8_t* a, const float* a_scales, const uint8_t* b,
+                    const float* b_scales, float* c, int64_t i0, int64_t i1,
+                    int64_t kp, int64_t n);
 
 }  // namespace simd
 }  // namespace dlsys

@@ -286,26 +286,6 @@ inline int32_t DotQ8BlockAvx2(const int8_t* a, const int8_t* b) {
   return HorizontalSumI32(acc);
 }
 
-void Q8GemmRowsAvx2(const int8_t* a, const float* a_scales, const int8_t* b,
-                    const float* b_scales, float* c, int64_t i0, int64_t i1,
-                    int64_t kp, int64_t n) {
-  const int64_t nb = kp / 32;
-  for (int64_t i = i0; i < i1; ++i) {
-    const int8_t* arow = a + i * kp;
-    const float* as = a_scales + i * nb;
-    for (int64_t j = 0; j < n; ++j) {
-      const int8_t* brow = b + j * kp;
-      const float* bs = b_scales + j * nb;
-      float sum = 0.0f;
-      for (int64_t bb = 0; bb < nb; ++bb) {
-        const int32_t dot = DotQ8BlockAvx2(arow + bb * 32, brow + bb * 32);
-        sum += static_cast<float>(dot) * (as[bb] * bs[bb]);
-      }
-      c[i * n + j] = sum;
-    }
-  }
-}
-
 /// Exact int32 dot of a q8 activation block against a nibble-packed q4
 /// weight block: byte t = element t (low nibble) and 16+t (high nibble),
 /// code = q + 8.
@@ -324,6 +304,43 @@ inline int32_t DotQ4BlockAvx2(const int8_t* a, const uint8_t* b) {
   const __m256i acc = _mm256_add_epi32(_mm256_madd_epi16(a_lo, b_lo),
                                        _mm256_madd_epi16(a_hi, b_hi));
   return HorizontalSumI32(acc);
+}
+
+const KernelTable kAvx2Table = {
+    Isa::kAvx2,
+    "kernel.avx2",
+    &MatMulRangeAvx2,
+    &MatMulTransARangeAvx2,
+    &MatMulTransBRangeAvx2,
+    &ConvGemmBiasColsAvx2,
+    &Q8GemmRowsAvx2,
+    &Q4GemmRowsAvx2,
+    &MatMulBiasActRangeAvx2,
+    &ConvGemmBiasActColsAvx2,
+};
+
+}  // namespace
+
+// The block GEMMs have external linkage: the AVX-512 table runs these
+// bodies too (see kernels.h).
+void Q8GemmRowsAvx2(const int8_t* a, const float* a_scales, const int8_t* b,
+                    const float* b_scales, float* c, int64_t i0, int64_t i1,
+                    int64_t kp, int64_t n) {
+  const int64_t nb = kp / 32;
+  for (int64_t i = i0; i < i1; ++i) {
+    const int8_t* arow = a + i * kp;
+    const float* as = a_scales + i * nb;
+    for (int64_t j = 0; j < n; ++j) {
+      const int8_t* brow = b + j * kp;
+      const float* bs = b_scales + j * nb;
+      float sum = 0.0f;
+      for (int64_t bb = 0; bb < nb; ++bb) {
+        const int32_t dot = DotQ8BlockAvx2(arow + bb * 32, brow + bb * 32);
+        sum += static_cast<float>(dot) * (as[bb] * bs[bb]);
+      }
+      c[i * n + j] = sum;
+    }
+  }
 }
 
 void Q4GemmRowsAvx2(const int8_t* a, const float* a_scales, const uint8_t* b,
@@ -345,21 +362,6 @@ void Q4GemmRowsAvx2(const int8_t* a, const float* a_scales, const uint8_t* b,
     }
   }
 }
-
-const KernelTable kAvx2Table = {
-    Isa::kAvx2,
-    "kernel.avx2",
-    &MatMulRangeAvx2,
-    &MatMulTransARangeAvx2,
-    &MatMulTransBRangeAvx2,
-    &ConvGemmBiasColsAvx2,
-    &Q8GemmRowsAvx2,
-    &Q4GemmRowsAvx2,
-    &MatMulBiasActRangeAvx2,
-    &ConvGemmBiasActColsAvx2,
-};
-
-}  // namespace
 
 const KernelTable* GetAvx2Table() { return &kAvx2Table; }
 

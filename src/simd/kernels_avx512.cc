@@ -5,8 +5,9 @@
 /// \brief AVX-512 microkernels (F+BW+VL+DQ). Compiled with -mavx512f
 /// -mavx512bw -mavx512vl -mavx512dq -O3 -ffp-contract=off. Same parity
 /// contract as the AVX2 TU: fp32 is bitwise identical to scalar (mul then
-/// add, ascending p, vectorized across output elements only), integer
-/// paths are exact int32.
+/// add, ascending p, vectorized across output elements only). The table's
+/// q8/q4 block-GEMM entries are the AVX2 bodies from kernels_avx2.cc:
+/// 512-bit variants measured slower on AVX-512 hosts (EXPERIMENTS E34).
 
 #if DLSYS_SIMD && (defined(__x86_64__) || defined(__i386__)) &&      \
     defined(__AVX512F__) && defined(__AVX512BW__) && defined(__AVX512VL__) && \
@@ -300,73 +301,6 @@ void ConvGemmBiasActColsAvx512(const float* a, const float* b,
   }
 }
 
-// ------------------------------------------------------- block-quantized
-
-/// Exact int32 dot of one 32-element q8 block pair: one extend+madd each.
-inline int32_t DotQ8BlockAvx512(const int8_t* a, const int8_t* b) {
-  const __m512i a16 = _mm512_cvtepi8_epi16(
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a)));
-  const __m512i b16 = _mm512_cvtepi8_epi16(
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b)));
-  return _mm512_reduce_add_epi32(_mm512_madd_epi16(a16, b16));
-}
-
-void Q8GemmRowsAvx512(const int8_t* a, const float* a_scales, const int8_t* b,
-                      const float* b_scales, float* c, int64_t i0, int64_t i1,
-                      int64_t kp, int64_t n) {
-  const int64_t nb = kp / 32;
-  for (int64_t i = i0; i < i1; ++i) {
-    const int8_t* arow = a + i * kp;
-    const float* as = a_scales + i * nb;
-    for (int64_t j = 0; j < n; ++j) {
-      const int8_t* brow = b + j * kp;
-      const float* bs = b_scales + j * nb;
-      float sum = 0.0f;
-      for (int64_t bb = 0; bb < nb; ++bb) {
-        const int32_t dot = DotQ8BlockAvx512(arow + bb * 32, brow + bb * 32);
-        sum += static_cast<float>(dot) * (as[bb] * bs[bb]);
-      }
-      c[i * n + j] = sum;
-    }
-  }
-}
-
-/// Exact int32 dot of a q8 activation block against a nibble-packed q4
-/// weight block (byte t = elements t and 16+t, code = q + 8).
-inline int32_t DotQ4BlockAvx512(const int8_t* a, const uint8_t* b) {
-  const __m128i packed = _mm_loadu_si128(reinterpret_cast<const __m128i*>(b));
-  const __m128i mask = _mm_set1_epi8(0x0F);
-  const __m128i lo = _mm_and_si128(packed, mask);
-  const __m128i hi = _mm_and_si128(_mm_srli_epi16(packed, 4), mask);
-  const __m256i codes =
-      _mm256_inserti128_si256(_mm256_castsi128_si256(lo), hi, 1);
-  const __m512i b16 = _mm512_sub_epi16(_mm512_cvtepu8_epi16(codes),
-                                       _mm512_set1_epi16(8));
-  const __m512i a16 = _mm512_cvtepi8_epi16(
-      _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a)));
-  return _mm512_reduce_add_epi32(_mm512_madd_epi16(a16, b16));
-}
-
-void Q4GemmRowsAvx512(const int8_t* a, const float* a_scales,
-                      const uint8_t* b, const float* b_scales, float* c,
-                      int64_t i0, int64_t i1, int64_t kp, int64_t n) {
-  const int64_t nb = kp / 32;
-  for (int64_t i = i0; i < i1; ++i) {
-    const int8_t* arow = a + i * kp;
-    const float* as = a_scales + i * nb;
-    for (int64_t j = 0; j < n; ++j) {
-      const uint8_t* brow = b + j * (kp / 2);
-      const float* bs = b_scales + j * nb;
-      float sum = 0.0f;
-      for (int64_t bb = 0; bb < nb; ++bb) {
-        const int32_t dot = DotQ4BlockAvx512(arow + bb * 32, brow + bb * 16);
-        sum += static_cast<float>(dot) * (as[bb] * bs[bb]);
-      }
-      c[i * n + j] = sum;
-    }
-  }
-}
-
 const KernelTable kAvx512Table = {
     Isa::kAvx512,
     "kernel.avx512",
@@ -374,8 +308,8 @@ const KernelTable kAvx512Table = {
     &MatMulTransARangeAvx512,
     &MatMulTransBRangeAvx512,
     &ConvGemmBiasColsAvx512,
-    &Q8GemmRowsAvx512,
-    &Q4GemmRowsAvx512,
+    &Q8GemmRowsAvx2,  // composed: AVX2 bodies time faster on AVX-512 hosts
+    &Q4GemmRowsAvx2,
     &MatMulBiasActRangeAvx512,
     &ConvGemmBiasActColsAvx512,
 };

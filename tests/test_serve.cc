@@ -2,13 +2,16 @@
 // (every completed request's output is bitwise the version it was
 // admitted under, at any DLSYS_THREADS), bounded-queue and deadline
 // admission, the max-batch/max-delay batch policy and its same-tick
-// rule, deterministic bit-for-bit load replay, and thread-safety of
-// registry publish/acquire under real concurrency (the TSan target).
+// rule, deterministic bit-for-bit load replay, thread-safety of
+// registry publish/acquire under real concurrency (the TSan target), and
+// request conservation over seeded random scenarios on both scheduling
+// paths.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -1370,6 +1373,179 @@ TEST(LoadGenTest, TenantedOpenLoopReplaysBitForBit) {
     EXPECT_EQ(per.completed, it->second.completed) << tenant;
     EXPECT_EQ(per.deadline_missed, it->second.deadline_missed) << tenant;
     EXPECT_EQ(per.latency.sum_ms(), it->second.latency.sum_ms()) << tenant;
+  }
+}
+
+
+// ------------------------------------------ seeded conservation property
+
+/// Runs one seeded random scenario on the FIFO (\p slots false) or slot
+/// path and checks request conservation after Drain. The seed draws the
+/// server shape, cost model, batch policy, tenant mix (with quotas,
+/// weights and priority classes on the slot path), load factor against
+/// the declared capacity, per-request deadlines, an unknown-model
+/// trickle, a mid-run hot swap, a draining window and one DropQueued.
+void CheckConservation(uint64_t seed, bool slots) {
+  Rng rng(seed * 0x9E3779B97F4A7C15ULL + (slots ? 1 : 0));
+  ModelRegistry registry;
+  ServerConfig config;
+  config.workers = 1 + static_cast<int>(rng.Index(3));
+  config.batch.max_batch = 1 + static_cast<int64_t>(rng.Index(6));
+  config.batch.max_delay_ms = rng.Bernoulli(0.2) ? 0.0 : rng.Uniform(0.0, 2.0);
+  config.queue_capacity =
+      config.batch.max_batch * (1 + static_cast<int64_t>(rng.Index(4)));
+  config.default_deadline_ms = rng.Uniform(1.0, 20.0);
+  config.cost.fixed_ms = rng.Uniform(0.05, 1.0);
+  config.cost.per_example_ms = rng.Uniform(0.01, 0.3);
+  const int tenants = 1 + static_cast<int>(rng.Index(4));
+  if (slots) {
+    SlotSchedulerConfig& sched = config.scheduler;
+    sched.use_slots = true;
+    sched.slots_per_worker = static_cast<int>(rng.Index(5));  // 0: max_batch
+    sched.priority_classes = 1 + static_cast<int>(rng.Index(2));
+    sched.fair_queueing = rng.Bernoulli(0.7);
+    sched.enforce_quotas = rng.Bernoulli(0.7);
+    sched.default_policy.rate_rps =
+        rng.Bernoulli(0.3) ? 0.0 : rng.Uniform(200.0, 5000.0);
+    sched.default_policy.burst = rng.Uniform(1.0, 8.0);
+    for (int t = 0; t < tenants; ++t) {
+      if (!rng.Bernoulli(0.5)) continue;
+      TenantPolicy policy;
+      policy.rate_rps = rng.Bernoulli(0.3) ? 0.0 : rng.Uniform(200.0, 5000.0);
+      policy.burst = rng.Uniform(1.0, 8.0);
+      policy.weight = rng.Uniform(0.5, 4.0);
+      policy.priority =
+          static_cast<int>(rng.Index(static_cast<uint64_t>(
+              sched.priority_classes)));
+      sched.tenants["t" + std::to_string(t)] = policy;
+    }
+  }
+  auto created = Server::Create(&registry, config);
+  ASSERT_TRUE(created.ok()) << created.status().ToString();
+  std::unique_ptr<Server> server = std::move(created).value();
+  ASSERT_TRUE(server->Publish("m", MakeNet(seed), {16}).ok());
+
+  // Offered load as a multiple of the declared full-batch capacity.
+  const double capacity_per_ms =
+      static_cast<double>(config.workers * config.batch.max_batch) /
+      EstimateServiceMs(config.cost, config.batch.max_batch);
+  const double load_factor = rng.Uniform(0.3, 3.0);
+  const double mean_gap_ms = 1.0 / (load_factor * capacity_per_ms);
+
+  constexpr int kRequests = 150;
+  const int swap_at = static_cast<int>(rng.Index(kRequests));
+  const int drain_from = static_cast<int>(rng.Index(kRequests));
+  const int drain_to = drain_from + static_cast<int>(rng.Index(20));
+  const int drop_at = static_cast<int>(rng.Index(kRequests));
+
+  std::map<Server::Outcome, int64_t> outcomes;
+  std::map<std::string, int64_t> no_such_model_by_tenant;
+  int64_t dropped = 0;
+  double t = 0.0;
+  Tensor x({16});
+  for (int i = 0; i < kRequests; ++i) {
+    t += -std::log(1.0 - rng.Uniform()) * mean_gap_ms;
+    if (i == swap_at) {
+      ASSERT_TRUE(server->Publish("m", MakeNet(seed + 1000), {16}).ok());
+    }
+    server->SetDraining(i >= drain_from && i < drain_to);
+    if (i == drop_at) dropped += server->DropQueued();
+    if (rng.Bernoulli(0.2)) {
+      server->AdvanceTo(std::max(server->clock_ms(),
+                                 t - rng.Uniform(0.0, mean_gap_ms)));
+    }
+    const std::string tenant =
+        "t" + std::to_string(rng.Index(static_cast<uint64_t>(tenants)));
+    const bool missing = rng.Bernoulli(0.03);
+    const double budget = rng.Bernoulli(0.5) ? 0.0 : rng.Uniform(0.5, 20.0);
+    x.FillGaussian(&rng, 1.0f);
+    const Server::SubmitResult r =
+        server->Submit(missing ? "absent" : "m", x, t, budget, tenant);
+    ++outcomes[r.outcome];
+    if (r.outcome == Server::Outcome::kNoSuchModel) {
+      ++no_such_model_by_tenant[tenant];
+    }
+  }
+  server->SetDraining(false);
+  server->Drain();
+  EXPECT_EQ(server->queue_depth(), 0);
+  EXPECT_LT(server->NextActionableMs(), 0.0);
+
+  const MetricsReport m = server->metrics();
+  const auto count = [&m](const char* key) {
+    return static_cast<int64_t>(m.Get(key));
+  };
+  const int64_t offered = count("serve.offered");
+  const int64_t admitted = count("serve.admitted");
+  const int64_t shed_full = count("serve.shed.queue_full");
+  const int64_t shed_deadline = count("serve.shed.deadline_infeasible");
+  const int64_t shed_draining = count("serve.shed.draining");
+  const int64_t no_such_model = count("serve.no_such_model");
+
+  // Every offered request is admitted or turned away exactly once, and
+  // the server's counts agree with the verdicts Submit returned.
+  EXPECT_EQ(offered, kRequests);
+  EXPECT_EQ(offered, admitted + shed_full + shed_deadline + shed_draining +
+                         no_such_model);
+  EXPECT_EQ(admitted, outcomes[Server::Outcome::kAdmitted]);
+  EXPECT_EQ(shed_full, outcomes[Server::Outcome::kShedQueueFull]);
+  EXPECT_EQ(shed_deadline, outcomes[Server::Outcome::kShedDeadline]);
+  EXPECT_EQ(shed_draining, outcomes[Server::Outcome::kShedDraining]);
+  EXPECT_EQ(no_such_model, outcomes[Server::Outcome::kNoSuchModel]);
+
+  // Every admitted request completes or died in the queue drop.
+  const std::vector<Server::Completion>& done = server->completions();
+  EXPECT_EQ(count("serve.dropped_queued"), dropped);
+  EXPECT_EQ(admitted, static_cast<int64_t>(done.size()) + dropped);
+
+  // Each server-wide count is the sum of the per-tenant tallies.
+  Server::TenantStats sum;
+  std::map<std::string, int64_t> completed_by_tenant;
+  int64_t missed = 0;
+  for (const Server::Completion& c : done) {
+    ++completed_by_tenant[c.tenant];
+    if (c.deadline_missed) ++missed;
+    EXPECT_EQ(c.deadline_missed, c.finish_ms > c.deadline_ms) << c.id;
+    // Boundaries are ordered: arrival <= quota_open <= dispatch <= finish.
+    EXPECT_LE(c.arrival_ms, c.quota_open_ms) << c.id;
+    EXPECT_LE(c.quota_open_ms, c.dispatch_ms) << c.id;
+    EXPECT_LE(c.dispatch_ms, c.finish_ms) << c.id;
+    EXPECT_EQ(c.slot >= 0, slots) << c.id;
+  }
+  for (const auto& [tenant, ts] : server->tenant_stats()) {
+    sum.offered += ts.offered;
+    sum.admitted += ts.admitted;
+    sum.completed += ts.completed;
+    sum.deadline_missed += ts.deadline_missed;
+    sum.shed_queue_full += ts.shed_queue_full;
+    sum.shed_deadline += ts.shed_deadline;
+    sum.shed_draining += ts.shed_draining;
+    EXPECT_EQ(ts.offered, ts.admitted + ts.shed_queue_full +
+                              ts.shed_deadline + ts.shed_draining +
+                              no_such_model_by_tenant[tenant])
+        << tenant;
+    EXPECT_EQ(ts.completed, completed_by_tenant[tenant]) << tenant;
+    EXPECT_EQ(ts.latency.count(), ts.completed) << tenant;
+  }
+  EXPECT_EQ(sum.offered, offered);
+  EXPECT_EQ(sum.admitted, admitted);
+  EXPECT_EQ(sum.completed, static_cast<int64_t>(done.size()));
+  EXPECT_EQ(sum.deadline_missed, count("serve.deadline_missed"));
+  EXPECT_EQ(sum.deadline_missed, missed);
+  EXPECT_EQ(sum.shed_queue_full, shed_full);
+  EXPECT_EQ(sum.shed_deadline, shed_deadline);
+  EXPECT_EQ(sum.shed_draining, shed_draining);
+}
+
+TEST(ServerPropertyTest, ConservationHoldsOverSeededScenariosOnBothPaths) {
+  RuntimeConfig::SetThreads(1);
+  for (const bool slots : {false, true}) {
+    for (uint64_t seed = 1; seed <= 24; ++seed) {
+      SCOPED_TRACE(std::string(slots ? "slots" : "fifo") + " seed " +
+                   std::to_string(seed));
+      CheckConservation(seed, slots);
+      if (HasFatalFailure()) return;
+    }
   }
 }
 
