@@ -1,6 +1,7 @@
 // Microkernel bench (E34): ISA x format sweep of the dispatched GEMM
 // microkernels — fp32 matmul / fp32 transB / conv-GEMM / q8-block /
-// q4-block at the E31 serving shape (64x768x768) and one tail shape —
+// q4-block at the E31 serving shape (64x768x768), one tail shape and the
+// wide MLP's layer shapes (32x256x1024, 32x1024x1024, 1x1024x1024) —
 // plus the lookup primitives (B+-tree, RMI, bloom) behind the learned-index
 // experiments. Per-cell p50/p99 are exact nearest-rank quantiles of the
 // raw per-call samples (41 per cell in full mode), not histogram bucket
@@ -266,6 +267,11 @@ int main(int argc, char** argv) {
   } else {
     shapes.push_back({64, 768, 768});  // E31 serving shape
     shapes.push_back({61, 765, 771});  // unaligned tails on every dimension
+    // servebench's wide MLP (256-1024-1024-10) at its 32-row batch step,
+    // and the one-request GEMV of the paced phase.
+    shapes.push_back({32, 256, 1024});
+    shapes.push_back({32, 1024, 1024});
+    shapes.push_back({1, 1024, 1024});
   }
 
   const std::vector<SweepCell> cells = RunSweep(shapes);

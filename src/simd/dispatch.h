@@ -81,10 +81,13 @@ struct KernelTable {
   /// process lifetime as TraceSpan requires.
   const char* span_cat = "kernel.scalar";
 
-  /// C[i0:i1, :] += A(MxK) * B(KxN) rows (C rows pre-zeroed by caller).
+  /// C[i0:i1, :] = A(MxK) * B(KxN) rows. Every fp32 row-range entry
+  /// below (matmul_range, matmul_ta_range, matmul_bias_act_range)
+  /// overwrites its rows: each element's chain starts from +0.0, whatever
+  /// C held, in full tiles and tails alike.
   void (*matmul_range)(const float* a, const float* b, float* c, int64_t i0,
                        int64_t i1, int64_t k, int64_t n) = nullptr;
-  /// C[i0:i1, :] += A(KxM)^T * B(KxN) rows.
+  /// C[i0:i1, :] = A(KxM)^T * B(KxN) rows.
   void (*matmul_ta_range)(const float* a, const float* b, float* c,
                           int64_t i0, int64_t i1, int64_t k, int64_t m,
                           int64_t n) = nullptr;
@@ -107,11 +110,11 @@ struct KernelTable {
                        const uint8_t* b, const float* b_scales, float* c,
                        int64_t i0, int64_t i1, int64_t kp,
                        int64_t n) = nullptr;
-  /// C[i0:i1, :] = act(A(MxK) * B(KxN) + bias(N)) rows (C rows pre-zeroed
-  /// by caller; act = relu when relu != 0, else identity). The fused
-  /// dense epilogue the graph compiler's fusion pass dispatches: the GEMM
-  /// op sequence is untouched, the bias add and activation run while the
-  /// rows are still cache-hot instead of as separate output passes.
+  /// C[i0:i1, :] = act(A(MxK) * B(KxN) + bias(N)) rows (act = relu when
+  /// relu != 0, else identity). The fused dense epilogue the graph
+  /// compiler's fusion pass dispatches: the GEMM op sequence is untouched,
+  /// the bias add and activation run while the rows are still cache-hot
+  /// instead of as separate output passes.
   void (*matmul_bias_act_range)(const float* a, const float* b,
                                 const float* bias, float* c, int64_t i0,
                                 int64_t i1, int64_t k, int64_t n,

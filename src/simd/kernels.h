@@ -16,17 +16,47 @@
 /// worker runs a range, never the arithmetic inside it. Within a range:
 ///
 /// - fp32 kernels reproduce the scalar reference's per-element operation
-///   sequence exactly: one float multiply then one add (or one float
-///   multiply, widen, double add for the TransB/conv family) per p, in
-///   ascending p. SIMD variants vectorize across *independent output
-///   elements* only, never across the reduction, and are compiled with
-///   -ffp-contract=off, so they are **bitwise identical** to the scalar
-///   kernels — no FMA, no reassociation, no tolerance needed.
+///   sequence exactly: starting from +0.0, one float multiply then one add
+///   (or one float multiply, widen, double add for the TransB/conv family)
+///   per p, in ascending p. SIMD variants vectorize across *independent
+///   output elements* only, never across the reduction, and are compiled
+///   with -ffp-contract=off, so they are **bitwise identical** to the
+///   scalar kernels — no FMA, no reassociation, no tolerance needed. The
+///   row-range bodies (matmul, transA, matmul+bias+act) overwrite their
+///   rows: full tiles store their accumulators and tails zero their own
+///   elements before accumulating, so what C held never matters.
 /// - q8/q4 block kernels accumulate each block's dot in int32, which is
 ///   associative: any vector order is exact, so the dots are bit-exact by
 ///   construction. The per-block float epilogue follows the scalar chain
-///   (ascending block index, float(dot) * (a_scale * b_scale))
-///   element-for-element.
+///   (sum = +0.0, then sum += float(dot) * (a_scale * b_scale) in
+///   ascending block index) element-for-element.
+///
+/// ## Cache blocking (what the AVX bodies do inside a range)
+///
+/// - fp32 matmul_range (and matmul_bias_act_range, which runs it): the
+///   AVX-512 body loops over 32-column B panels outermost and splits k
+///   into blocks of 256 rows. Each panel block is copied once into a
+///   64-byte-aligned 32 KB stack buffer (zero-padded past column n) and
+///   reused from L1 by every 8x32 register tile of the range; the 1-7
+///   leftover rows run the same loop as a shorter tile. The AVX2 body is
+///   the same loop with 16-column panels and 4x16 tiles (the column tail
+///   streams). Splitting k keeps the bits: between blocks a tile stores
+///   its float partial sums to C and the next block reloads them, and a
+///   float store/reload is exact, so each element still sees one
+///   ascending-p chain of separate multiplies and adds from +0.0.
+/// - The copy only pays when several row tiles reuse it, so it happens
+///   only for ranges of at least two register tiles (16 rows on AVX-512,
+///   8 on AVX2) with k > 0. Shorter ranges, such as small serving
+///   batches, keep the streaming body that reads each B panel in place.
+///   The choice depends on the call's shape alone: no option selects it.
+/// - q8/q4 (the AVX2 bodies, which the AVX-512 table also runs): one
+///   4-row x 8-column C tile per 32-element block. The eight B blocks are
+///   loaded or nibble-unpacked and widened once and reused by every row;
+///   each A block is widened once and reused by every column; the eight
+///   int32 dot vectors of a row are reduced by one hadd tree; and the
+///   epilogue applies float(dot) * (a_scale * b_scale) across the 8
+///   columns at once in ascending block order. Row and column remainders
+///   run the same tile with fewer rows or masked columns.
 ///
 /// Each ISA translation unit is compiled with exactly the target flags it
 /// needs (-mavx2 / -mavx512*) and self-guards; its code only executes
@@ -44,7 +74,8 @@ namespace simd {
 struct KernelTable;
 
 /// Scalar reference table: always available, bitwise identical to the
-/// pre-dispatch kernels (same source moved verbatim, same build flags).
+/// pre-dispatch kernels (same source and build flags; the only change is
+/// that edge tiles zero their elements instead of relying on the caller).
 const KernelTable* GetScalarTable();
 /// AVX2 table, or nullptr when not compiled into this binary.
 const KernelTable* GetAvx2Table();
@@ -52,9 +83,8 @@ const KernelTable* GetAvx2Table();
 const KernelTable* GetAvx512Table();
 
 // ------------------------------------------------------ scalar kernels
-// The fp32 bodies are the pre-SIMD kernels from src/tensor/ops.cc, moved
-// verbatim; the q8/q4 bodies are the block-GEMM references. See
-// kernels_scalar.cc.
+// The fp32 bodies are the pre-SIMD kernels from src/tensor/ops.cc; the
+// q8/q4 bodies are the block-GEMM references. See kernels_scalar.cc.
 
 void MatMulRangeScalar(const float* a, const float* b, float* c, int64_t i0,
                        int64_t i1, int64_t k, int64_t n);

@@ -5,7 +5,8 @@
 /// \brief AVX-512 microkernels (F+BW+VL+DQ). Compiled with -mavx512f
 /// -mavx512bw -mavx512vl -mavx512dq -O3 -ffp-contract=off. Same parity
 /// contract as the AVX2 TU: fp32 is bitwise identical to scalar (mul then
-/// add, ascending p, vectorized across output elements only). The table's
+/// add, ascending p, vectorized across output elements only); matmul is
+/// cache-blocked over packed 32-column B panels (see kernels.h). The table's
 /// q8/q4 block-GEMM entries are the AVX2 bodies from kernels_avx2.cc:
 /// 512-bit variants measured slower on AVX-512 hosts (EXPERIMENTS E34).
 
@@ -24,63 +25,129 @@ namespace {
 
 // ---------------------------------------------------------------- fp32
 
-constexpr int64_t kMr = 4;   // C rows per register tile
+constexpr int64_t kMr = 4;   // C rows per register tile (streaming, transA)
 constexpr int64_t kNr = 32;  // C columns per register tile (2 zmm)
+constexpr int64_t kPanelMr = 8;  // C rows per register tile on a panel
+constexpr int64_t kKc = 256;     // k rows per packed panel block (32 KB)
 
-void MatMulRangeAvx512(const float* a, const float* b, float* c, int64_t i0,
-                       int64_t i1, int64_t k, int64_t n) {
+/// Lanes [0, cols) of a 16-lane mask (all lanes for cols >= 16, none for
+/// cols <= 0).
+inline __mmask16 LaneMask(int64_t cols) {
+  if (cols >= 16) return static_cast<__mmask16>(0xFFFF);
+  if (cols <= 0) return 0;
+  return static_cast<__mmask16>((1u << cols) - 1u);
+}
+
+/// R x 32 register tile of C over kc k-rows. \p a points at A[i, p0] (row
+/// stride k), \p b at B[p0, j] (row stride ldb: n when streaming B in
+/// place, kNr on a packed panel), \p c at C[i, j]. The first k-block
+/// starts every accumulator at +0.0; later blocks resume from the float
+/// partial sums the previous block stored, which is the same chain (a
+/// float store/reload is exact). Lanes outside m0/m1 are never read from
+/// B or C, nor written. Always inlined: as an out-of-line call the
+/// accumulators round-trip through the stack on every tile.
+template <int R>
+__attribute__((always_inline)) inline void TileAvx512(
+    const float* a, int64_t k, const float* b, int64_t ldb, int64_t kc,
+    float* c, int64_t n, bool first, __mmask16 m0, __mmask16 m1) {
+  __m512 acc[R][2];
+  for (int r = 0; r < R; ++r) {
+    if (first) {
+      acc[r][0] = _mm512_setzero_ps();
+      acc[r][1] = _mm512_setzero_ps();
+    } else {
+      acc[r][0] = _mm512_maskz_loadu_ps(m0, c + r * n);
+      acc[r][1] = _mm512_maskz_loadu_ps(m1, c + r * n + 16);
+    }
+  }
+  for (int64_t p = 0; p < kc; ++p) {
+    const __m512 b0 = _mm512_maskz_loadu_ps(m0, b + p * ldb);
+    const __m512 b1 = _mm512_maskz_loadu_ps(m1, b + p * ldb + 16);
+    for (int r = 0; r < R; ++r) {
+      const __m512 av = _mm512_set1_ps(a[r * k + p]);
+      acc[r][0] = _mm512_add_ps(acc[r][0], _mm512_mul_ps(av, b0));
+      acc[r][1] = _mm512_add_ps(acc[r][1], _mm512_mul_ps(av, b1));
+    }
+  }
+  for (int r = 0; r < R; ++r) {
+    _mm512_mask_storeu_ps(c + r * n, m0, acc[r][0]);
+    _mm512_mask_storeu_ps(c + r * n + 16, m1, acc[r][1]);
+  }
+}
+
+/// Streaming body: each 4x32 tile reads B in place (row stride n) for the
+/// whole k; the 1-3 rows under the last tile run the scalar body. Used
+/// for ranges too short to amortize a panel copy (fewer than two
+/// kPanelMr tiles: small serving batches).
+void MatMulStreamAvx512(const float* a, const float* b, float* c, int64_t i0,
+                        int64_t i1, int64_t k, int64_t n) {
   int64_t i = i0;
   for (; i + kMr <= i1; i += kMr) {
-    const float* a0 = a + (i + 0) * k;
-    const float* a1 = a + (i + 1) * k;
-    const float* a2 = a + (i + 2) * k;
-    const float* a3 = a + (i + 3) * k;
-    int64_t j = 0;
-    for (; j + kNr <= n; j += kNr) {
-      __m512 c00 = _mm512_setzero_ps(), c01 = _mm512_setzero_ps();
-      __m512 c10 = _mm512_setzero_ps(), c11 = _mm512_setzero_ps();
-      __m512 c20 = _mm512_setzero_ps(), c21 = _mm512_setzero_ps();
-      __m512 c30 = _mm512_setzero_ps(), c31 = _mm512_setzero_ps();
-      for (int64_t p = 0; p < k; ++p) {
-        const float* brow = b + p * n + j;
-        const __m512 b0 = _mm512_loadu_ps(brow);
-        const __m512 b1 = _mm512_loadu_ps(brow + 16);
-        __m512 av = _mm512_set1_ps(a0[p]);
-        c00 = _mm512_add_ps(c00, _mm512_mul_ps(av, b0));
-        c01 = _mm512_add_ps(c01, _mm512_mul_ps(av, b1));
-        av = _mm512_set1_ps(a1[p]);
-        c10 = _mm512_add_ps(c10, _mm512_mul_ps(av, b0));
-        c11 = _mm512_add_ps(c11, _mm512_mul_ps(av, b1));
-        av = _mm512_set1_ps(a2[p]);
-        c20 = _mm512_add_ps(c20, _mm512_mul_ps(av, b0));
-        c21 = _mm512_add_ps(c21, _mm512_mul_ps(av, b1));
-        av = _mm512_set1_ps(a3[p]);
-        c30 = _mm512_add_ps(c30, _mm512_mul_ps(av, b0));
-        c31 = _mm512_add_ps(c31, _mm512_mul_ps(av, b1));
-      }
-      float* crow = c + i * n + j;
-      _mm512_storeu_ps(crow, c00);
-      _mm512_storeu_ps(crow + 16, c01);
-      _mm512_storeu_ps(crow + n, c10);
-      _mm512_storeu_ps(crow + n + 16, c11);
-      _mm512_storeu_ps(crow + 2 * n, c20);
-      _mm512_storeu_ps(crow + 2 * n + 16, c21);
-      _mm512_storeu_ps(crow + 3 * n, c30);
-      _mm512_storeu_ps(crow + 3 * n + 16, c31);
-    }
-    if (j < n) {
-      for (int64_t ii = 0; ii < kMr; ++ii) {
-        const float* arow = a + (i + ii) * k;
-        float* crow = c + (i + ii) * n;
-        for (int64_t p = 0; p < k; ++p) {
-          const float av = arow[p];
-          const float* brow = b + p * n;
-          for (int64_t jj = j; jj < n; ++jj) crow[jj] += av * brow[jj];
-        }
-      }
+    for (int64_t j = 0; j < n; j += kNr) {
+      TileAvx512<kMr>(a + i * k, k, b + j, n, k, c + i * n + j, n,
+                      /*first=*/true, LaneMask(n - j), LaneMask(n - j - 16));
     }
   }
   if (i < i1) MatMulRangeScalar(a, b, c, i, i1, k, n);
+}
+
+/// Copies B[p0:p0+kc, j:j+32) into \p panel (row stride 32), zeroing the
+/// lanes past the matrix edge that \p m0 / \p m1 mask off.
+inline void PackPanelAvx512(const float* b, int64_t n, int64_t p0,
+                            int64_t kc, int64_t j, __mmask16 m0,
+                            __mmask16 m1, float* panel) {
+  for (int64_t p = 0; p < kc; ++p) {
+    const float* src = b + (p0 + p) * n + j;
+    _mm512_store_ps(panel + p * kNr, _mm512_maskz_loadu_ps(m0, src));
+    _mm512_store_ps(panel + p * kNr + 16, _mm512_maskz_loadu_ps(m1, src + 16));
+  }
+}
+
+/// The 1..R rows under the last full kPanelMr tile, on a packed panel:
+/// runs the tile instantiated for exactly \p rows rows.
+template <int R>
+inline void PanelTailAvx512(int64_t rows, const float* a, int64_t k,
+                            const float* panel, int64_t kc, float* c,
+                            int64_t n, bool first, __mmask16 m0,
+                            __mmask16 m1) {
+  if constexpr (R > 0) {
+    if (rows == R) {
+      TileAvx512<R>(a, k, panel, kNr, kc, c, n, first, m0, m1);
+    } else {
+      PanelTailAvx512<R - 1>(rows, a, k, panel, kc, c, n, first, m0, m1);
+    }
+  }
+}
+
+/// Cache-blocked body: the 32-column panel is the outer loop and k is
+/// split into kKc-row blocks. Each block of the panel is copied once into
+/// an aligned stack buffer and reused from L1 by every 8x32 row tile of
+/// the range (the 1-7 rows under the last one run a shorter tile),
+/// instead of every 4-row tile re-streaming a 4n-byte-strided panel from
+/// L2/L3.
+void MatMulRangeAvx512(const float* a, const float* b, float* c, int64_t i0,
+                       int64_t i1, int64_t k, int64_t n) {
+  if (i1 - i0 < 2 * kPanelMr || k == 0) {
+    MatMulStreamAvx512(a, b, c, i0, i1, k, n);
+    return;
+  }
+  alignas(64) float panel[kKc * kNr];
+  for (int64_t j = 0; j < n; j += kNr) {
+    const __mmask16 m0 = LaneMask(n - j);
+    const __mmask16 m1 = LaneMask(n - j - 16);
+    for (int64_t p0 = 0; p0 < k; p0 += kKc) {
+      const int64_t kc = std::min(kKc, k - p0);
+      const bool first = p0 == 0;
+      PackPanelAvx512(b, n, p0, kc, j, m0, m1, panel);
+      int64_t i = i0;
+      for (; i + kPanelMr <= i1; i += kPanelMr) {
+        TileAvx512<kPanelMr>(a + i * k + p0, k, panel, kNr, kc,
+                             c + i * n + j, n, first, m0, m1);
+      }
+      PanelTailAvx512<kPanelMr - 1>(i1 - i, a + i * k + p0, k, panel, kc,
+                                    c + i * n + j, n, first, m0, m1);
+    }
+  }
 }
 
 void MatMulTransARangeAvx512(const float* a, const float* b, float* c,
@@ -125,6 +192,7 @@ void MatMulTransARangeAvx512(const float* a, const float* b, float* c,
     if (j < n) {
       for (int64_t ii = 0; ii < kMr; ++ii) {
         float* crow = c + (i + ii) * n;
+        std::fill(crow + j, crow + n, 0.0f);
         for (int64_t p = 0; p < k; ++p) {
           const float av = a[p * m + i + ii];
           const float* brow = b + p * n;

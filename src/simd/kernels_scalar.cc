@@ -6,8 +6,8 @@
 
 /// \file kernels_scalar.cc
 /// \brief The always-available reference kernels. The fp32 bodies are
-/// the pre-dispatch kernels from src/tensor/ops.cc, moved verbatim and
-/// compiled with the same
+/// the pre-dispatch kernels from src/tensor/ops.cc (edge tiles zero their
+/// own elements, so a range overwrites its rows), compiled with the same
 /// flags (-O3 -march=native -ffp-contract=off via src/CMakeLists.txt), so
 /// a -DDLSYS_SIMD=OFF or DLSYS_ISA=scalar run is bitwise identical to the
 /// tree before the SIMD backend existed. The q8/q4 block kernels are the
@@ -51,10 +51,12 @@ void MatMulRangeScalar(const float* a, const float* b, float* c, int64_t i0,
       }
     }
     // Edge tiles (tail columns, or a short row block): plain loops with
-    // the same ascending-p accumulation order per element.
+    // the same ascending-p accumulation order per element, starting from
+    // +0.0 like the register tile, so the rows are overwritten.
     for (int64_t ii = 0; ii < ir; ++ii) {
       const float* arow = pa + (i + ii) * k;
       float* crow = pc + (i + ii) * n;
+      std::fill(crow + j, crow + n, 0.0f);
       for (int64_t p = 0; p < k; ++p) {
         const float av = arow[p];
         const float* brow = pb + p * n;
@@ -90,6 +92,7 @@ void MatMulTransARangeScalar(const float* a, const float* b, float* c,
     }
     for (int64_t ii = 0; ii < ir; ++ii) {
       float* crow = pc + (i + ii) * n;
+      std::fill(crow + j, crow + n, 0.0f);
       for (int64_t p = 0; p < k; ++p) {
         const float av = pa[p * m + i + ii];
         const float* brow = pb + p * n;

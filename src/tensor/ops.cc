@@ -101,10 +101,6 @@ void MatMulInto(const float* a, const float* b, float* c, int64_t m,
   DLSYS_COST_FLOPS(2 * m * k * n);
   auto* kernel = kt.matmul_range;
   ParallelFor(0, m, kRowGrain, [=](int64_t i0, int64_t i1) {
-    // The matmul range kernel accumulates into C (edge tiles use +=), so
-    // the owned row range is zeroed first; a freshly allocated Tensor got
-    // this for free.
-    std::fill(c + i0 * n, c + i1 * n, 0.0f);
     kernel(a, b, c, i0, i1, k, n);
   });
 }
@@ -137,9 +133,6 @@ void MatMulBiasActInto(const float* a, const float* b, const float* bias,
   auto* kernel = kt.matmul_bias_act_range;
   const int relu_flag = relu ? 1 : 0;
   ParallelFor(0, m, kRowGrain, [=](int64_t i0, int64_t i1) {
-    // Same zeroing contract as MatMulInto: the fused kernel runs the
-    // accumulate-into-C GEMM first, then its bias/act epilogue.
-    std::fill(c + i0 * n, c + i1 * n, 0.0f);
     kernel(a, b, bias, c, i0, i1, k, n, relu_flag);
   });
 }

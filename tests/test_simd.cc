@@ -1,6 +1,7 @@
 // Tests for the SIMD microkernel backend (src/simd): dispatch registry
 // behavior, bit-parity of every per-ISA kernel table against the scalar
-// reference at thread counts 1/2/8 on unaligned/tail shapes, block
+// reference at thread counts 1/2/8 on unaligned/tail shapes and at the
+// cache-blocked loops' k-block, panel and tile boundaries, block
 // quantization round-trip error bounds (q8 and q4), the q4 nibble packing
 // layout, and the kernel.dispatch.* observability counters.
 
@@ -8,7 +9,9 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/compress/quantization.h"
@@ -320,6 +323,277 @@ TEST(SimdParityTest, BlockGemmBitExactAcrossIsasAndThreads) {
     }
   }
   RuntimeConfig::SetThreads(1);
+}
+
+// ------------------------------------- cache-blocked loop boundaries
+//
+// The fp32 row-range bodies split k into blocks of kPanelKc rows and copy
+// each block of a B column panel once per range; the q8/q4 bodies run
+// 4-row x 8-column tiles. These cases sit on and around every boundary of
+// those loops and compare bit for bit with the scalar bodies, with C
+// pre-filled with garbage (every body must overwrite its rows).
+
+constexpr int64_t kPanelKc = 256;  // k rows per packed panel block
+
+/// A NaN with a payload no kernel produces: any element a body failed to
+/// write (or accumulated into) keeps or propagates it.
+float Garbage() {
+  const uint32_t bits = 0x7fc0beefu;
+  float f;
+  std::memcpy(&f, &bits, sizeof(f));
+  return f;
+}
+
+/// The row-range entries under test, called through ParallelFor with the
+/// same row grain the public entry points use.
+void RunRows(int64_t m, const std::function<void(int64_t, int64_t)>& body) {
+  ParallelFor(0, m, 8, [&](int64_t i0, int64_t i1) { body(i0, i1); });
+}
+
+TEST(SimdParityTest, FloatPanelBoundariesBitwiseOnGarbageC) {
+  IsaRestore restore;
+  Rng rng(40);
+  const int64_t kMs[] = {1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33};
+  const int64_t kNs[] = {1, 10, 15, 16, 17, 31, 32, 33, 64, 100};
+  const int64_t kKs[] = {1, kPanelKc - 1, kPanelKc, kPanelKc + 1,
+                         2 * kPanelKc + 3};
+  const std::vector<simd::Isa> isas = SupportedIsas();
+  for (int64_t k : kKs) {
+    for (int64_t m : kMs) {
+      for (int64_t n : kNs) {
+        Tensor a({m, k}), b({k, n}), bias({n});
+        a.FillGaussian(&rng, 1.0f);
+        b.FillGaussian(&rng, 1.0f);
+        bias.FillGaussian(&rng, 1.0f);
+        const Tensor at = Transpose(a);  // (k, m) for matmul_ta_range
+        const std::string where = "m=" + std::to_string(m) +
+                                  " k=" + std::to_string(k) +
+                                  " n=" + std::to_string(n);
+
+        // References: the scalar bodies over the whole range, on garbage.
+        const size_t size = static_cast<size_t>(m * n);
+        std::vector<float> ref(size, Garbage()), ref_ta(size, Garbage()),
+            ref_ba(size, Garbage());
+        simd::MatMulRangeScalar(a.data(), b.data(), ref.data(), 0, m, k, n);
+        simd::MatMulTransARangeScalar(at.data(), b.data(), ref_ta.data(), 0,
+                                      m, k, m, n);
+        simd::MatMulBiasActRangeScalar(a.data(), b.data(), bias.data(),
+                                       ref_ba.data(), 0, m, k, n, 1);
+        const Tensor naive = NaiveMatMul(a, b);
+        ASSERT_TRUE(BitwiseEqual(ref.data(), naive.data(), m * n)) << where;
+        ASSERT_TRUE(BitwiseEqual(ref_ta.data(), naive.data(), m * n))
+            << where;
+
+        std::vector<float> c(size);
+        for (simd::Isa isa : isas) {
+          simd::SetIsa(isa);
+          const simd::KernelTable& kt = simd::ActiveKernels();
+          for (int threads : {1, 2, 8}) {
+            RuntimeConfig::SetThreads(threads);
+            const std::string tag = std::string("isa=") +
+                                    simd::IsaName(isa) + " threads=" +
+                                    std::to_string(threads) + " " + where;
+            std::fill(c.begin(), c.end(), Garbage());
+            MatMulInto(a.data(), b.data(), c.data(), m, k, n);
+            EXPECT_TRUE(BitwiseEqual(c.data(), ref.data(), m * n)) << tag;
+            std::fill(c.begin(), c.end(), Garbage());
+            RunRows(m, [&](int64_t i0, int64_t i1) {
+              kt.matmul_ta_range(at.data(), b.data(), c.data(), i0, i1, k, m,
+                                 n);
+            });
+            EXPECT_TRUE(BitwiseEqual(c.data(), ref_ta.data(), m * n)) << tag;
+            std::fill(c.begin(), c.end(), Garbage());
+            MatMulBiasActInto(a.data(), b.data(), bias.data(), c.data(), m, k,
+                              n, /*relu=*/true);
+            EXPECT_TRUE(BitwiseEqual(c.data(), ref_ba.data(), m * n)) << tag;
+          }
+        }
+      }
+    }
+  }
+  RuntimeConfig::SetThreads(1);
+}
+
+/// Random q8 activations/weights over the full int8 range (-128 included)
+/// and positive scales, plus the nibble-packed q4 form of the same shape.
+struct BlockOperands {
+  int64_t m, kp, n;
+  std::vector<int8_t> a, b8;
+  std::vector<uint8_t> b4;
+  std::vector<float> a_scales, b_scales;
+
+  BlockOperands(int64_t m_, int64_t kp_, int64_t n_, Rng* rng)
+      : m(m_), kp(kp_), n(n_) {
+    const int64_t nb = kp / kQuantBlock;
+    a.resize(static_cast<size_t>(m * kp));
+    b8.resize(static_cast<size_t>(n * kp));
+    b4.resize(static_cast<size_t>(n * kp / 2));
+    a_scales.resize(static_cast<size_t>(m * nb));
+    b_scales.resize(static_cast<size_t>(n * nb));
+    for (int8_t& v : a) v = static_cast<int8_t>(rng->Index(256) - 128);
+    for (int8_t& v : b8) v = static_cast<int8_t>(rng->Index(256) - 128);
+    for (uint8_t& v : b4) v = static_cast<uint8_t>(rng->Index(256));
+    for (float& v : a_scales) v = static_cast<float>(rng->Uniform(1e-3, 1.0));
+    for (float& v : b_scales) v = static_cast<float>(rng->Uniform(1e-3, 1.0));
+  }
+};
+
+TEST(SimdParityTest, BlockTileBoundariesBitExactOnGarbageC) {
+  IsaRestore restore;
+  Rng rng(41);
+  const std::vector<simd::Isa> isas = SupportedIsas();
+  for (int64_t kp : {int64_t{32}, int64_t{256}, int64_t{1056}}) {
+    for (int64_t m : {int64_t{1}, int64_t{3}, int64_t{6}, int64_t{13}}) {
+      for (int64_t n : {int64_t{1}, int64_t{7}, int64_t{13}, int64_t{42}}) {
+        BlockOperands op(m, kp, n, &rng);
+        const size_t size = static_cast<size_t>(m * n);
+        std::vector<float> ref8(size, Garbage()), ref4(size, Garbage());
+        simd::Q8GemmRowsScalar(op.a.data(), op.a_scales.data(), op.b8.data(),
+                               op.b_scales.data(), ref8.data(), 0, m, kp, n);
+        simd::Q4GemmRowsScalar(op.a.data(), op.a_scales.data(), op.b4.data(),
+                               op.b_scales.data(), ref4.data(), 0, m, kp, n);
+        std::vector<float> c(size);
+        for (simd::Isa isa : isas) {
+          simd::SetIsa(isa);
+          for (int threads : {1, 2, 8}) {
+            RuntimeConfig::SetThreads(threads);
+            SCOPED_TRACE(std::string("isa=") + simd::IsaName(isa) +
+                         " threads=" + std::to_string(threads) +
+                         " m=" + std::to_string(m) + " kp=" +
+                         std::to_string(kp) + " n=" + std::to_string(n));
+            std::fill(c.begin(), c.end(), Garbage());
+            Q8BlockGemmTransBInto(op.a.data(), op.a_scales.data(),
+                                  op.b8.data(), op.b_scales.data(), c.data(),
+                                  m, kp, n);
+            EXPECT_TRUE(BitwiseEqual(c.data(), ref8.data(), m * n));
+            std::fill(c.begin(), c.end(), Garbage());
+            Q4BlockGemmTransBInto(op.a.data(), op.a_scales.data(),
+                                  op.b4.data(), op.b_scales.data(), c.data(),
+                                  m, kp, n);
+            EXPECT_TRUE(BitwiseEqual(c.data(), ref4.data(), m * n));
+          }
+        }
+      }
+    }
+  }
+  RuntimeConfig::SetThreads(1);
+}
+
+TEST(SimdParityTest, DirectRangeCallsWriteOnlyTheirRows) {
+  // Unaligned row ranges called straight through each table: rows inside
+  // [i0, i1) must equal the scalar body's, rows outside must keep their
+  // sentinel bits. [3, 12) is shorter than two 8-row panel tiles (the
+  // streaming path); [3, 29) takes the panel path with a row tail.
+  IsaRestore restore;
+  Rng rng(42);
+  const int64_t m = 32, k = 2 * kPanelKc + 3, n = 41, kp = 288;
+  Tensor a({m, k}), b({k, n}), bias({n});
+  a.FillGaussian(&rng, 1.0f);
+  b.FillGaussian(&rng, 1.0f);
+  bias.FillGaussian(&rng, 1.0f);
+  const Tensor at = Transpose(a);
+  BlockOperands q(m, kp, n, &rng);
+  const simd::KernelTable& scalar = *simd::GetScalarTable();
+
+  using RangeCall = std::function<void(const simd::KernelTable&, float*,
+                                       int64_t, int64_t)>;
+  const std::vector<std::pair<std::string, RangeCall>> calls = {
+      {"matmul_range",
+       [&](const simd::KernelTable& kt, float* c, int64_t i0, int64_t i1) {
+         kt.matmul_range(a.data(), b.data(), c, i0, i1, k, n);
+       }},
+      {"matmul_ta_range",
+       [&](const simd::KernelTable& kt, float* c, int64_t i0, int64_t i1) {
+         kt.matmul_ta_range(at.data(), b.data(), c, i0, i1, k, m, n);
+       }},
+      {"matmul_bias_act_range",
+       [&](const simd::KernelTable& kt, float* c, int64_t i0, int64_t i1) {
+         kt.matmul_bias_act_range(a.data(), b.data(), bias.data(), c, i0, i1,
+                                  k, n, 0);
+       }},
+      {"q8_gemm_rows",
+       [&](const simd::KernelTable& kt, float* c, int64_t i0, int64_t i1) {
+         kt.q8_gemm_rows(q.a.data(), q.a_scales.data(), q.b8.data(),
+                         q.b_scales.data(), c, i0, i1, kp, n);
+       }},
+      {"q4_gemm_rows",
+       [&](const simd::KernelTable& kt, float* c, int64_t i0, int64_t i1) {
+         kt.q4_gemm_rows(q.a.data(), q.a_scales.data(), q.b4.data(),
+                         q.b_scales.data(), c, i0, i1, kp, n);
+       }},
+  };
+  const size_t size = static_cast<size_t>(m * n);
+  for (const auto& [name, call] : calls) {
+    std::vector<float> ref(size, Garbage());
+    call(scalar, ref.data(), 0, m);
+    for (simd::Isa isa : SupportedIsas()) {
+      simd::SetIsa(isa);
+      for (const auto& [i0, i1] : {std::pair<int64_t, int64_t>{3, 12},
+                                   std::pair<int64_t, int64_t>{3, 29}}) {
+        SCOPED_TRACE(name + " isa=" + simd::IsaName(isa) +
+                     " rows=[" + std::to_string(i0) + "," +
+                     std::to_string(i1) + ")");
+        std::vector<float> c(size, Garbage());
+        const std::vector<float> sentinel = c;
+        call(simd::ActiveKernels(), c.data(), i0, i1);
+        EXPECT_TRUE(BitwiseEqual(c.data(), sentinel.data(), i0 * n));
+        EXPECT_TRUE(BitwiseEqual(c.data() + i0 * n, ref.data() + i0 * n,
+                                 (i1 - i0) * n));
+        EXPECT_TRUE(BitwiseEqual(c.data() + i1 * n, sentinel.data() + i1 * n,
+                                 (m - i1) * n));
+      }
+    }
+  }
+}
+
+TEST(SimdParityTest, ZeroActivationRowGivesPositiveZero) {
+  // Every element's chain starts from +0.0. A zero A row against an
+  // all-negative B (fp32) or negative B scales (q8/q4) makes every term
+  // -0.0: +0.0 + -0.0 is +0.0, whereas a body that seeded its accumulator
+  // with the first term would leave -0.0 behind.
+  IsaRestore restore;
+  Rng rng(43);
+  const int64_t k = kPanelKc + 1, n = 37, kp = 288;
+  for (int64_t m : {int64_t{3}, int64_t{20}}) {
+    Tensor a({m, k}), b({k, n});
+    a.FillGaussian(&rng, 1.0f);
+    b.FillGaussian(&rng, 1.0f);
+    for (int64_t t = 0; t < k * n; ++t) b[t] = -std::abs(b[t]);
+    const int64_t zero_row = m - 2;
+    for (int64_t p = 0; p < k; ++p) a[zero_row * k + p] = 0.0f;
+    const Tensor at = Transpose(a);
+    BlockOperands q(m, kp, n, &rng);
+    std::fill(q.a.begin() + zero_row * kp, q.a.begin() + (zero_row + 1) * kp,
+              int8_t{0});
+    for (float& v : q.b_scales) v = -v;
+    std::vector<float> c(static_cast<size_t>(m * n));
+    for (simd::Isa isa : SupportedIsas()) {
+      simd::SetIsa(isa);
+      const simd::KernelTable& kt = simd::ActiveKernels();
+      SCOPED_TRACE(std::string("isa=") + simd::IsaName(isa) +
+                   " m=" + std::to_string(m));
+      auto expect_positive_zero_row = [&](const char* what) {
+        for (int64_t j = 0; j < n; ++j) {
+          const float v = c[static_cast<size_t>(zero_row * n + j)];
+          EXPECT_TRUE(v == 0.0f && !std::signbit(v)) << what << " col " << j;
+        }
+      };
+      std::fill(c.begin(), c.end(), Garbage());
+      kt.matmul_range(a.data(), b.data(), c.data(), 0, m, k, n);
+      expect_positive_zero_row("matmul_range");
+      std::fill(c.begin(), c.end(), Garbage());
+      kt.matmul_ta_range(at.data(), b.data(), c.data(), 0, m, k, m, n);
+      expect_positive_zero_row("matmul_ta_range");
+      std::fill(c.begin(), c.end(), Garbage());
+      kt.q8_gemm_rows(q.a.data(), q.a_scales.data(), q.b8.data(),
+                      q.b_scales.data(), c.data(), 0, m, kp, n);
+      expect_positive_zero_row("q8_gemm_rows");
+      std::fill(c.begin(), c.end(), Garbage());
+      kt.q4_gemm_rows(q.a.data(), q.a_scales.data(), q.b4.data(),
+                      q.b_scales.data(), c.data(), 0, m, kp, n);
+      expect_positive_zero_row("q4_gemm_rows");
+    }
+  }
 }
 
 // ------------------------------------------- block quantization formats
