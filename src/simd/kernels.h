@@ -44,10 +44,10 @@
 ///   its float partial sums to C and the next block reloads them, and a
 ///   float store/reload is exact, so each element still sees one
 ///   ascending-p chain of separate multiplies and adds from +0.0.
-/// - The copy only pays when several row tiles reuse it, so it happens
-///   only for ranges of at least two register tiles (16 rows on AVX-512,
-///   8 on AVX2) with k > 0. Shorter ranges, such as small serving
-///   batches, keep the streaming body that reads each B panel in place.
+/// - A range shorter than the body's kMinPanelRows (2 on AVX-512, 6 on
+///   AVX2), or with k = 0, runs the scalar body, which reads each B row
+///   once in place; longer ranges take the panel loop. Both thresholds
+///   come from an alternating A/B of the two bodies (EXPERIMENTS E34).
 ///   The choice depends on the call's shape alone: no option selects it.
 /// - q8/q4 (the AVX2 bodies, which the AVX-512 table also runs): one
 ///   4-row x 8-column C tile per 32-element block. The eight B blocks are

@@ -30,6 +30,12 @@ namespace {
 constexpr int64_t kMr = 4;   // C rows per register tile
 constexpr int64_t kNr = 16;  // C columns per register tile (2 ymm)
 constexpr int64_t kKc = 256;  // k rows per packed panel block (16 KB)
+/// Fewest rows that take the panel loop; a shorter range runs the scalar
+/// body. Higher than on AVX-512 because a 16-column panel copies half as
+/// much per B row fetched: in the E34 A/B one wide-MLP batch (256x1024,
+/// 1024x1024 and 1024x10 layers) was faster on the scalar body at 1-5
+/// rows and on the panel loop from 6 rows.
+constexpr int64_t kMinPanelRows = 6;
 
 /// Column tail [j, n) of rows [i0, i1): plain ascending-p loops from +0.0.
 void MatMulColTailAvx2(const float* a, const float* b, float* c, int64_t i0,
@@ -46,14 +52,15 @@ void MatMulColTailAvx2(const float* a, const float* b, float* c, int64_t i0,
   }
 }
 
-/// R x 16 register tile of C over kc k-rows: \p a at A[i, p0] (row stride
-/// k), \p b at B[p0, j] (row stride ldb: n in place, kNr on a packed
-/// panel), \p c at C[i, j]; same chain, resume rule and inlining as the
-/// AVX-512 tile.
+/// R x 16 register tile of C over kc k-rows of a packed panel: \p a at
+/// A[i, p0] (row stride k), \p panel at the block's first row (row
+/// stride kNr), \p c at C[i, j]; same chain, resume rule and inlining as
+/// the AVX-512 tile.
 template <int R>
-__attribute__((always_inline)) inline void TileAvx2(
-    const float* a, int64_t k, const float* b, int64_t ldb, int64_t kc,
-    float* c, int64_t n, bool first) {
+__attribute__((always_inline)) inline void TileAvx2(const float* a, int64_t k,
+                                                    const float* panel,
+                                                    int64_t kc, float* c,
+                                                    int64_t n, bool first) {
   __m256 acc[R][2];
   for (int r = 0; r < R; ++r) {
     if (first) {
@@ -65,8 +72,8 @@ __attribute__((always_inline)) inline void TileAvx2(
     }
   }
   for (int64_t p = 0; p < kc; ++p) {
-    const __m256 b0 = _mm256_loadu_ps(b + p * ldb);
-    const __m256 b1 = _mm256_loadu_ps(b + p * ldb + 8);
+    const __m256 b0 = _mm256_load_ps(panel + p * kNr);
+    const __m256 b1 = _mm256_load_ps(panel + p * kNr + 8);
     for (int r = 0; r < R; ++r) {
       const __m256 av = _mm256_set1_ps(a[r * k + p]);
       acc[r][0] = _mm256_add_ps(acc[r][0], _mm256_mul_ps(av, b0));
@@ -79,29 +86,13 @@ __attribute__((always_inline)) inline void TileAvx2(
   }
 }
 
-/// Streaming body: each 4x16 tile reads B in place (row stride n) for the
-/// whole k. Used for ranges of fewer than two tiles.
-void MatMulStreamAvx2(const float* a, const float* b, float* c, int64_t i0,
-                      int64_t i1, int64_t k, int64_t n) {
-  int64_t i = i0;
-  for (; i + kMr <= i1; i += kMr) {
-    int64_t j = 0;
-    for (; j + kNr <= n; j += kNr) {
-      TileAvx2<kMr>(a + i * k, k, b + j, n, k, c + i * n + j, n,
-                    /*first=*/true);
-    }
-    if (j < n) MatMulColTailAvx2(a, b, c, i, i + kMr, k, n, j);
-  }
-  if (i < i1) MatMulRangeScalar(a, b, c, i, i1, k, n);
-}
-
 /// Cache-blocked body, the AVX-512 loop at 16 columns: full 16-column
 /// panels are copied once per kKc block into an aligned stack buffer and
 /// reused by every 4x16 tile; the column tail streams.
 void MatMulRangeAvx2(const float* a, const float* b, float* c, int64_t i0,
                      int64_t i1, int64_t k, int64_t n) {
-  if (i1 - i0 < 2 * kMr || k == 0) {
-    MatMulStreamAvx2(a, b, c, i0, i1, k, n);
+  if (i1 - i0 < kMinPanelRows || k == 0) {
+    MatMulRangeScalar(a, b, c, i0, i1, k, n);
     return;
   }
   alignas(32) float panel[kKc * kNr];
@@ -117,15 +108,14 @@ void MatMulRangeAvx2(const float* a, const float* b, float* c, int64_t i0,
       }
       int64_t i = i0;
       for (; i + kMr <= i1; i += kMr) {
-        TileAvx2<kMr>(a + i * k + p0, k, panel, kNr, kc, c + i * n + j, n,
-                      first);
+        TileAvx2<kMr>(a + i * k + p0, k, panel, kc, c + i * n + j, n, first);
       }
       const float* at = a + i * k + p0;
       float* ct = c + i * n + j;
       switch (i1 - i) {
-        case 1: TileAvx2<1>(at, k, panel, kNr, kc, ct, n, first); break;
-        case 2: TileAvx2<2>(at, k, panel, kNr, kc, ct, n, first); break;
-        case 3: TileAvx2<3>(at, k, panel, kNr, kc, ct, n, first); break;
+        case 1: TileAvx2<1>(at, k, panel, kc, ct, n, first); break;
+        case 2: TileAvx2<2>(at, k, panel, kc, ct, n, first); break;
+        case 3: TileAvx2<3>(at, k, panel, kc, ct, n, first); break;
         default: break;
       }
     }

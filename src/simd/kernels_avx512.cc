@@ -25,10 +25,16 @@ namespace {
 
 // ---------------------------------------------------------------- fp32
 
-constexpr int64_t kMr = 4;   // C rows per register tile (streaming, transA)
+constexpr int64_t kMr = 4;   // C rows per transA register tile
 constexpr int64_t kNr = 32;  // C columns per register tile (2 zmm)
 constexpr int64_t kPanelMr = 8;  // C rows per register tile on a panel
 constexpr int64_t kKc = 256;     // k rows per packed panel block (32 KB)
+/// Fewest rows that take the panel loop; a shorter range runs the scalar
+/// body, which reads each B row once in place. From an alternating A/B of
+/// the two on the wide MLP's layers (EXPERIMENTS E34): the panel loop was
+/// 1.3-2.3x slower for one row, faster at 2, 3, 5 and 6 rows, and slower
+/// at exactly 4, where the scalar body's own 4x32 tile streams B once.
+constexpr int64_t kMinPanelRows = 2;
 
 /// Lanes [0, cols) of a 16-lane mask (all lanes for cols >= 16, none for
 /// cols <= 0).
@@ -38,18 +44,18 @@ inline __mmask16 LaneMask(int64_t cols) {
   return static_cast<__mmask16>((1u << cols) - 1u);
 }
 
-/// R x 32 register tile of C over kc k-rows. \p a points at A[i, p0] (row
-/// stride k), \p b at B[p0, j] (row stride ldb: n when streaming B in
-/// place, kNr on a packed panel), \p c at C[i, j]. The first k-block
-/// starts every accumulator at +0.0; later blocks resume from the float
-/// partial sums the previous block stored, which is the same chain (a
-/// float store/reload is exact). Lanes outside m0/m1 are never read from
-/// B or C, nor written. Always inlined: as an out-of-line call the
-/// accumulators round-trip through the stack on every tile.
+/// R x 32 register tile of C over kc k-rows of a packed panel. \p a
+/// points at A[i, p0] (row stride k), \p panel at the block's first row
+/// (row stride kNr, lanes past the matrix edge zeroed), \p c at C[i, j].
+/// The first k-block starts every accumulator at +0.0; later blocks resume
+/// from the float partial sums the previous block stored, which is the
+/// same chain (a float store/reload is exact). Lanes outside m0/m1 are
+/// never read from C nor written. Always inlined: as an out-of-line call
+/// the accumulators round-trip through the stack on every tile.
 template <int R>
 __attribute__((always_inline)) inline void TileAvx512(
-    const float* a, int64_t k, const float* b, int64_t ldb, int64_t kc,
-    float* c, int64_t n, bool first, __mmask16 m0, __mmask16 m1) {
+    const float* a, int64_t k, const float* panel, int64_t kc, float* c,
+    int64_t n, bool first, __mmask16 m0, __mmask16 m1) {
   __m512 acc[R][2];
   for (int r = 0; r < R; ++r) {
     if (first) {
@@ -61,8 +67,8 @@ __attribute__((always_inline)) inline void TileAvx512(
     }
   }
   for (int64_t p = 0; p < kc; ++p) {
-    const __m512 b0 = _mm512_maskz_loadu_ps(m0, b + p * ldb);
-    const __m512 b1 = _mm512_maskz_loadu_ps(m1, b + p * ldb + 16);
+    const __m512 b0 = _mm512_load_ps(panel + p * kNr);
+    const __m512 b1 = _mm512_load_ps(panel + p * kNr + 16);
     for (int r = 0; r < R; ++r) {
       const __m512 av = _mm512_set1_ps(a[r * k + p]);
       acc[r][0] = _mm512_add_ps(acc[r][0], _mm512_mul_ps(av, b0));
@@ -73,22 +79,6 @@ __attribute__((always_inline)) inline void TileAvx512(
     _mm512_mask_storeu_ps(c + r * n, m0, acc[r][0]);
     _mm512_mask_storeu_ps(c + r * n + 16, m1, acc[r][1]);
   }
-}
-
-/// Streaming body: each 4x32 tile reads B in place (row stride n) for the
-/// whole k; the 1-3 rows under the last tile run the scalar body. Used
-/// for ranges too short to amortize a panel copy (fewer than two
-/// kPanelMr tiles: small serving batches).
-void MatMulStreamAvx512(const float* a, const float* b, float* c, int64_t i0,
-                        int64_t i1, int64_t k, int64_t n) {
-  int64_t i = i0;
-  for (; i + kMr <= i1; i += kMr) {
-    for (int64_t j = 0; j < n; j += kNr) {
-      TileAvx512<kMr>(a + i * k, k, b + j, n, k, c + i * n + j, n,
-                      /*first=*/true, LaneMask(n - j), LaneMask(n - j - 16));
-    }
-  }
-  if (i < i1) MatMulRangeScalar(a, b, c, i, i1, k, n);
 }
 
 /// Copies B[p0:p0+kc, j:j+32) into \p panel (row stride 32), zeroing the
@@ -112,7 +102,7 @@ inline void PanelTailAvx512(int64_t rows, const float* a, int64_t k,
                             __mmask16 m1) {
   if constexpr (R > 0) {
     if (rows == R) {
-      TileAvx512<R>(a, k, panel, kNr, kc, c, n, first, m0, m1);
+      TileAvx512<R>(a, k, panel, kc, c, n, first, m0, m1);
     } else {
       PanelTailAvx512<R - 1>(rows, a, k, panel, kc, c, n, first, m0, m1);
     }
@@ -123,12 +113,12 @@ inline void PanelTailAvx512(int64_t rows, const float* a, int64_t k,
 /// split into kKc-row blocks. Each block of the panel is copied once into
 /// an aligned stack buffer and reused from L1 by every 8x32 row tile of
 /// the range (the 1-7 rows under the last one run a shorter tile),
-/// instead of every 4-row tile re-streaming a 4n-byte-strided panel from
+/// instead of every row tile re-streaming a 4n-byte-strided panel from
 /// L2/L3.
 void MatMulRangeAvx512(const float* a, const float* b, float* c, int64_t i0,
                        int64_t i1, int64_t k, int64_t n) {
-  if (i1 - i0 < 2 * kPanelMr || k == 0) {
-    MatMulStreamAvx512(a, b, c, i0, i1, k, n);
+  if (i1 - i0 < kMinPanelRows || k == 0) {
+    MatMulRangeScalar(a, b, c, i0, i1, k, n);
     return;
   }
   alignas(64) float panel[kKc * kNr];
@@ -141,8 +131,8 @@ void MatMulRangeAvx512(const float* a, const float* b, float* c, int64_t i0,
       PackPanelAvx512(b, n, p0, kc, j, m0, m1, panel);
       int64_t i = i0;
       for (; i + kPanelMr <= i1; i += kPanelMr) {
-        TileAvx512<kPanelMr>(a + i * k + p0, k, panel, kNr, kc,
-                             c + i * n + j, n, first, m0, m1);
+        TileAvx512<kPanelMr>(a + i * k + p0, k, panel, kc, c + i * n + j, n,
+                             first, m0, m1);
       }
       PanelTailAvx512<kPanelMr - 1>(i1 - i, a + i * k + p0, k, panel, kc,
                                     c + i * n + j, n, first, m0, m1);

@@ -49,8 +49,9 @@ Tensor NaiveMatMulTransB(const Tensor& a, const Tensor& b);
 /// \brief C(MxN) = A(MxK) * B(KxN) written into caller storage \p c.
 ///
 /// The same blocked kernel as MatMul (bitwise identical output), but
-/// allocation-free: \p c is zeroed and overwritten in place. The inference
-/// engine's arena-planned hot loop dispatches through this entry point.
+/// allocation-free: \p c is overwritten in place (what it held never
+/// matters). The inference engine's arena-planned hot loop dispatches
+/// through this entry point.
 void MatMulInto(const float* a, const float* b, float* c, int64_t m,
                 int64_t k, int64_t n);
 

@@ -353,9 +353,9 @@ void RunRows(int64_t m, const std::function<void(int64_t, int64_t)>& body) {
 TEST(SimdParityTest, FloatPanelBoundariesBitwiseOnGarbageC) {
   IsaRestore restore;
   Rng rng(40);
-  const int64_t kMs[] = {1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33};
+  const int64_t kMs[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 33};
   const int64_t kNs[] = {1, 10, 15, 16, 17, 31, 32, 33, 64, 100};
-  const int64_t kKs[] = {1, kPanelKc - 1, kPanelKc, kPanelKc + 1,
+  const int64_t kKs[] = {0, 1, kPanelKc - 1, kPanelKc, kPanelKc + 1,
                          2 * kPanelKc + 3};
   const std::vector<simd::Isa> isas = SupportedIsas();
   for (int64_t k : kKs) {
@@ -482,8 +482,9 @@ TEST(SimdParityTest, BlockTileBoundariesBitExactOnGarbageC) {
 TEST(SimdParityTest, DirectRangeCallsWriteOnlyTheirRows) {
   // Unaligned row ranges called straight through each table: rows inside
   // [i0, i1) must equal the scalar body's, rows outside must keep their
-  // sentinel bits. [3, 12) is shorter than two 8-row panel tiles (the
-  // streaming path); [3, 29) takes the panel path with a row tail.
+  // sentinel bits. [3, 5) is the shortest AVX-512 panel range and runs
+  // the scalar body on AVX2; [3, 12) and [3, 29) take the panel loop on
+  // both, with row tails.
   IsaRestore restore;
   Rng rng(42);
   const int64_t m = 32, k = 2 * kPanelKc + 3, n = 41, kp = 288;
@@ -528,7 +529,8 @@ TEST(SimdParityTest, DirectRangeCallsWriteOnlyTheirRows) {
     call(scalar, ref.data(), 0, m);
     for (simd::Isa isa : SupportedIsas()) {
       simd::SetIsa(isa);
-      for (const auto& [i0, i1] : {std::pair<int64_t, int64_t>{3, 12},
+      for (const auto& [i0, i1] : {std::pair<int64_t, int64_t>{3, 5},
+                                   std::pair<int64_t, int64_t>{3, 12},
                                    std::pair<int64_t, int64_t>{3, 29}}) {
         SCOPED_TRACE(name + " isa=" + simd::IsaName(isa) +
                      " rows=[" + std::to_string(i0) + "," +
