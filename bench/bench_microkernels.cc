@@ -1,6 +1,7 @@
 // Microkernel bench (E34): ISA x format sweep of the dispatched GEMM
-// microkernels — fp32 matmul / fp32 transB / conv-GEMM / q8-block /
-// q4-block at the E31 serving shape (64x768x768), one tail shape and the
+// microkernels — every kernel-table entry: fp32 matmul / transA / transB
+// / conv-GEMM, the fused dense and conv bias+relu paths, q8-block and
+// q4-block — at the E31 serving shape (64x768x768), one tail shape and the
 // wide MLP's layer shapes (32x256x1024, 32x1024x1024, 1x1024x1024) —
 // plus the lookup primitives (B+-tree, RMI, bloom) behind the learned-index
 // experiments. Per-cell p50/p99 are exact nearest-rank quantiles of the
@@ -93,7 +94,7 @@ struct GemmShape {
 /// ISA times identical memory.
 struct GemmOperands {
   GemmShape s;
-  Tensor a, b, bt, bias;
+  Tensor a, at, b, bt, bias, bias_n;
   Q8BlockMatrix qa8, qb8;
   Q4BlockMatrix qb4;
   std::vector<float> c;
@@ -103,9 +104,12 @@ struct GemmOperands {
     b = Tensor({s.k, s.n});
     a.FillGaussian(rng, 1.0f);
     b.FillGaussian(rng, 0.5f);
+    at = Transpose(a);  // (k, m) for TransA
     bt = Transpose(b);  // (n, k) for the TransB family
-    bias = Tensor({s.m});
+    bias = Tensor({s.m});  // per output row: the conv GEMM's bias
     bias.FillGaussian(rng, 1.0f);
+    bias_n = Tensor({s.n});  // per output column: the dense layer's bias
+    bias_n.FillGaussian(rng, 1.0f);
     qa8 = Q8BlockQuantizeRows(a);
     qb8 = Q8BlockQuantizeRows(bt);
     qb4 = Q4BlockQuantizeRows(bt);
@@ -139,6 +143,11 @@ std::vector<SweepCell> RunSweep(const std::vector<GemmShape>& shapes) {
            MatMulInto(op.a.data(), op.b.data(), op.c.data(), m, k, n);
            g_sink = op.c[0];
          }},
+        {"fp32_matmul_ta",
+         [&] {
+           Tensor out = MatMulTransA(op.at, op.b);
+           g_sink = out[0];
+         }},
         {"fp32_matmul_tb",
          [&] {
            Tensor out = MatMulTransB(op.a, op.bt);
@@ -146,8 +155,20 @@ std::vector<SweepCell> RunSweep(const std::vector<GemmShape>& shapes) {
          }},
         {"fp32_conv_gemm",
          [&] {
-           ConvGemmBiasInto(op.a.data(), op.bt.data(), op.bias.data(),
-                            op.c.data(), m, k, n);
+           ConvGemmBiasActInto(op.a.data(), op.bt.data(), op.bias.data(),
+                               op.c.data(), m, k, n, /*relu=*/false);
+           g_sink = op.c[0];
+         }},
+        {"fp32_conv_relu",
+         [&] {
+           ConvGemmBiasActInto(op.a.data(), op.bt.data(), op.bias.data(),
+                               op.c.data(), m, k, n, /*relu=*/true);
+           g_sink = op.c[0];
+         }},
+        {"fp32_dense_relu",
+         [&] {
+           MatMulBiasActInto(op.a.data(), op.b.data(), op.bias_n.data(),
+                             op.c.data(), m, k, n, /*relu=*/true);
            g_sink = op.c[0];
          }},
         {"q8_block",

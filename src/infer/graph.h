@@ -30,7 +30,7 @@ namespace dlsys {
 
 /// \brief Convolution execution strategy.
 enum class ConvAlgo {
-  kIm2col,  ///< patch-matrix GEMM through ConvGemmBiasInto (default)
+  kIm2col,  ///< patch-matrix GEMM through ConvGemmBiasActInto (default)
   kDirect,  ///< reference loop nest; retained for bit-comparison and bench
 };
 

@@ -267,90 +267,4 @@ LoadReport RunOpenLoop(Server* server, const OpenLoopConfig& config,
   return report;
 }
 
-LoadReport RunClosedLoop(Server* server, const ClosedLoopConfig& config) {
-  LoadReport report;
-  std::shared_ptr<ModelSnapshot> snap =
-      server->registry()->Acquire(config.model);
-  const int64_t in_elems = snap == nullptr ? 1 : snap->in_elems;
-  snap.reset();
-
-  struct Client {
-    double next_ms = 0.0;   ///< earliest time of its next attempt
-    int64_t sent = 0;       ///< attempts issued so far
-    bool waiting = false;   ///< has a request in flight
-    Rng payloads{0};
-  };
-  Rng root(config.seed);
-  std::vector<Client> clients(static_cast<size_t>(config.clients));
-  for (Client& c : clients) c.payloads = root.Fork();
-
-  std::map<int64_t, size_t> in_flight;  // request id -> client index
-  const size_t completions_before = server->completions().size();
-  size_t seen = completions_before;
-  Tensor example({in_elems});
-  const double start_ms = server->clock_ms();
-  double last_finish = 0.0;
-
-  Stopwatch wall;
-  while (true) {
-    // Release clients whose responses have arrived.
-    const std::vector<Server::Completion>& done = server->completions();
-    for (; seen < done.size(); ++seen) {
-      auto it = in_flight.find(done[seen].id);
-      if (it == in_flight.end()) continue;  // earlier traffic, not ours
-      Client& c = clients[it->second];
-      c.waiting = false;
-      c.next_ms = done[seen].finish_ms + config.think_ms;
-      in_flight.erase(it);
-    }
-
-    // Earliest client ready to send (lowest index breaks ties).
-    int64_t who = -1;
-    for (size_t i = 0; i < clients.size(); ++i) {
-      const Client& c = clients[i];
-      if (c.waiting || c.sent >= config.requests_per_client) continue;
-      if (who < 0 || c.next_ms < clients[static_cast<size_t>(who)].next_ms) {
-        who = static_cast<int64_t>(i);
-      }
-    }
-
-    const double next_dispatch = server->NextActionableMs();
-    if (who >= 0) {
-      Client& c = clients[static_cast<size_t>(who)];
-      const double t = std::max(c.next_ms, server->clock_ms());
-      // Let the server reach any dispatch due before this send, so the
-      // completion scan above can release other clients first.
-      if (next_dispatch >= 0.0 && next_dispatch < t) {
-        server->AdvanceTo(std::max(server->clock_ms(), next_dispatch));
-        continue;
-      }
-      example.FillGaussian(&c.payloads, 1.0f);
-      const Server::SubmitResult r =
-          server->Submit(config.model, example, t, config.deadline_ms);
-      ++c.sent;
-      ++report.offered;
-      if (r.outcome == Server::Outcome::kAdmitted) {
-        ++report.admitted;
-        c.waiting = true;
-        in_flight[r.id] = static_cast<size_t>(who);
-      } else {
-        ++report.shed;
-        c.next_ms = t + config.think_ms;  // client-side backoff, then retry
-      }
-      continue;
-    }
-    if (next_dispatch >= 0.0) {
-      server->AdvanceTo(std::max(server->clock_ms(), next_dispatch));
-      continue;
-    }
-    if (in_flight.empty()) break;  // every client finished its budget
-    // In-flight requests but nothing actionable: drain whatever remains.
-    server->Drain();
-  }
-  server->Drain();
-  last_finish = FoldCompletions(*server, completions_before, &report);
-  FinishReport(start_ms, last_finish, wall.Seconds(), &report);
-  return report;
-}
-
 }  // namespace dlsys

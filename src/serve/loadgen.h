@@ -13,15 +13,12 @@
 /// \file loadgen.h
 /// \brief Deterministic load harness for the serving layer.
 ///
-/// Two canonical client models from the serving-benchmark literature:
-/// an **open-loop** generator (seeded Poisson process — arrivals keep
-/// coming whether or not the server keeps up, which is what exposes
-/// overload behavior and makes shed-rate curves meaningful) and a
-/// **closed-loop** generator (each simulated client waits for its
-/// response plus a think time before sending again — throughput
-/// self-limits, which is what exposes latency under feasible load).
+/// **Open-loop** generators: seeded arrival processes (Poisson, or a
+/// trace-shaped diurnal curve with flash crowds) that keep offering load
+/// whether or not the server keeps up, which is what exposes overload
+/// behavior and makes shed-rate curves meaningful.
 ///
-/// Both run entirely on the server's simulated clock with seeded Rng
+/// They run entirely on the server's simulated clock with seeded Rng
 /// draws, so a fixed config replays bit for bit: identical admissions,
 /// sheds, batches, versions, and outputs. Only the engine's measured
 /// wall time differs between runs, and it never feeds any decision.
@@ -36,16 +33,6 @@ struct OpenLoopConfig {
   double deadline_ms = 0.0;   ///< per-request budget; <= 0 uses the default
   std::string model = "model";
   double start_ms = 0.0;      ///< simulated time of the first gap's origin
-};
-
-/// \brief Closed-loop workload: \p clients independent request loops.
-struct ClosedLoopConfig {
-  uint64_t seed = 1;
-  int64_t clients = 4;
-  int64_t requests_per_client = 100;
-  double think_ms = 1.0;     ///< client pause between response and resend
-  double deadline_ms = 0.0;  ///< per-request budget; <= 0 uses the default
-  std::string model = "model";
 };
 
 /// \brief Aggregate outcome of one load run.
@@ -163,14 +150,6 @@ std::vector<double> GenerateTraceArrivals(const TraceLoadConfig& config);
 /// to hot-swap the model mid-load.
 LoadReport RunOpenLoop(Server* server, const OpenLoopConfig& config,
                        const std::function<void(int64_t)>& before_submit = {});
-
-/// \brief Drives \p server with \p clients closed-loop request chains
-/// over the simulated clock and drains it. Each client issues exactly
-/// requests_per_client attempts: after a response it thinks for
-/// think_ms and sends again; after a shed it also waits think_ms before
-/// its next attempt (a client-side backoff), so the run always
-/// terminates.
-LoadReport RunClosedLoop(Server* server, const ClosedLoopConfig& config);
 
 }  // namespace dlsys
 

@@ -20,7 +20,10 @@
 /// A table is a set of entries, not one ISA's code throughout: the
 /// AVX-512 table's q8_gemm_rows and q4_gemm_rows entries are the AVX2
 /// bodies (Q8GemmRowsAvx2 / Q4GemmRowsAvx2), which time faster on
-/// AVX-512 hosts, so selecting it requires AVX2 as well.
+/// AVX-512 hosts, so selecting it requires AVX2 as well. Each table has
+/// six entries and five hand-written bodies at most: its
+/// matmul_bias_act_range is built from its own matmul_range plus one
+/// bias/relu epilogue shared by every table (src/simd/kernels.h).
 ///
 /// ## Forcing a path
 ///
@@ -81,25 +84,25 @@ struct KernelTable {
   /// process lifetime as TraceSpan requires.
   const char* span_cat = "kernel.scalar";
 
-  /// C[i0:i1, :] = A(MxK) * B(KxN) rows. Every fp32 row-range entry
-  /// below (matmul_range, matmul_ta_range, matmul_bias_act_range)
-  /// overwrites its rows: each element's chain starts from +0.0, whatever
-  /// C held, in full tiles and tails alike.
+  /// C[i0:i1, :] = A(MxK) * B(KxN) rows. Every fp32 entry overwrites
+  /// the elements of its range: each element's chain starts from +0.0 (or
+  /// dot_gemm_range's bias), whatever C held, in full tiles and tails alike.
   void (*matmul_range)(const float* a, const float* b, float* c, int64_t i0,
                        int64_t i1, int64_t k, int64_t n) = nullptr;
   /// C[i0:i1, :] = A(KxM)^T * B(KxN) rows.
   void (*matmul_ta_range)(const float* a, const float* b, float* c,
                           int64_t i0, int64_t i1, int64_t k, int64_t m,
                           int64_t n) = nullptr;
-  /// C[i0:i1, :] = A(MxK) * B(NxK)^T rows (double accumulation).
-  void (*matmul_tb_range)(const float* a, const float* b, float* c,
-                          int64_t i0, int64_t i1, int64_t k,
-                          int64_t n) = nullptr;
-  /// C[:, j0:j1) = bias + A(MxK) * B(NxK)^T columns (conv epilogue order).
-  void (*conv_gemm_bias_cols)(const float* a, const float* b,
-                              const float* bias, float* c, int64_t m,
-                              int64_t k, int64_t n, int64_t j0,
-                              int64_t j1) = nullptr;
+  /// C[i0:i1, j0:j1) = act(bias(M) + A(MxK) * B(NxK)^T), C with row
+  /// stride n. Each element's double accumulator starts from bias[i], or
+  /// +0.0 when bias is null, and adds the float products a[i,p]*b[j,p]
+  /// in ascending p; act = relu when relu != 0, else identity.
+  /// MatMulTransB calls it row-partitioned with a null bias; the conv
+  /// GEMM calls it column-partitioned.
+  void (*dot_gemm_range)(const float* a, const float* b, const float* bias,
+                         float* c, int64_t i0, int64_t i1, int64_t j0,
+                         int64_t j1, int64_t k, int64_t n,
+                         int relu) = nullptr;
   /// Fused block-dequant q8 x q8 GEMM rows (see int8_gemm.h).
   void (*q8_gemm_rows)(const int8_t* a, const float* a_scales,
                        const int8_t* b, const float* b_scales, float* c,
@@ -111,20 +114,13 @@ struct KernelTable {
                        int64_t i0, int64_t i1, int64_t kp,
                        int64_t n) = nullptr;
   /// C[i0:i1, :] = act(A(MxK) * B(KxN) + bias(N)) rows (act = relu when
-  /// relu != 0, else identity). The fused dense epilogue the graph
-  /// compiler's fusion pass dispatches: the GEMM op sequence is untouched,
-  /// the bias add and activation run while the rows are still cache-hot
-  /// instead of as separate output passes.
+  /// relu != 0, else identity): the table's matmul_range followed by the
+  /// shared bias/relu epilogue on the same rows (src/simd/kernels.h). The
+  /// graph compiler's fusion pass dispatches dense layers through it.
   void (*matmul_bias_act_range)(const float* a, const float* b,
                                 const float* bias, float* c, int64_t i0,
                                 int64_t i1, int64_t k, int64_t n,
                                 int relu) = nullptr;
-  /// conv_gemm_bias_cols with the activation fused into the column pass
-  /// (relu != 0 applies max(x, 0) to each finished output element).
-  void (*conv_gemm_bias_act_cols)(const float* a, const float* b,
-                                  const float* bias, float* c, int64_t m,
-                                  int64_t k, int64_t n, int64_t j0,
-                                  int64_t j1, int relu) = nullptr;
 };
 
 /// \brief True when \p isa is both compiled into this binary and runnable

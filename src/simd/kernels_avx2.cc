@@ -216,89 +216,27 @@ inline void DotCols4Avx2(const float* arow, const float* b0, const float* b1,
   out[3] = static_cast<float>(s[3]);
 }
 
-void MatMulTransBRangeAvx2(const float* a, const float* b, float* c,
-                           int64_t i0, int64_t i1, int64_t k, int64_t n) {
+/// dot_gemm_range: four columns per DotCols4Avx2 call, then the scalar
+/// chain for the 1-3 columns left.
+void DotGemmRangeAvx2(const float* a, const float* b, const float* bias,
+                      float* c, int64_t i0, int64_t i1, int64_t j0, int64_t j1,
+                      int64_t k, int64_t n, int relu) {
   for (int64_t i = i0; i < i1; ++i) {
     const float* arow = a + i * k;
-    int64_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      DotCols4Avx2(arow, b + (j + 0) * k, b + (j + 1) * k, b + (j + 2) * k,
-                   b + (j + 3) * k, k, 0.0, c + i * n + j);
-    }
-    for (; j < n; ++j) {
-      const float* brow = b + j * k;
-      double s = 0.0;
-      for (int64_t p = 0; p < k; ++p) s += arow[p] * brow[p];
-      c[i * n + j] = static_cast<float>(s);
-    }
-  }
-}
-
-void ConvGemmBiasColsAvx2(const float* a, const float* b, const float* bias,
-                          float* c, int64_t m, int64_t k, int64_t n,
-                          int64_t j0, int64_t j1) {
-  for (int64_t i = 0; i < m; ++i) {
-    const float* arow = a + i * k;
-    const double bias_i = static_cast<double>(bias[i]);
+    const double init = bias != nullptr ? static_cast<double>(bias[i]) : 0.0;
     int64_t j = j0;
     for (; j + 4 <= j1; j += 4) {
       DotCols4Avx2(arow, b + (j + 0) * k, b + (j + 1) * k, b + (j + 2) * k,
-                   b + (j + 3) * k, k, bias_i, c + i * n + j);
+                   b + (j + 3) * k, k, init, c + i * n + j);
     }
     for (; j < j1; ++j) {
       const float* brow = b + j * k;
-      double s = bias_i;
+      double s = init;
       for (int64_t p = 0; p < k; ++p) s += arow[p] * brow[p];
       c[i * n + j] = static_cast<float>(s);
     }
   }
-}
-
-// ------------------------------------------------------ fused epilogues
-//
-// GEMM body untouched; bias + optional relu applied to the stored rows.
-// Store/reload of a float is the identical bit pattern, and
-// _mm256_max_ps(v, 0) with zero as the SECOND operand returns the second
-// operand on NaN and on the -0/+0 tie, matching the scalar
-// `v > 0.0f ? v : 0.0f` exactly — so fusion stays bitwise neutral.
-
-void MatMulBiasActRangeAvx2(const float* a, const float* b, const float* bias,
-                            float* c, int64_t i0, int64_t i1, int64_t k,
-                            int64_t n, int relu) {
-  MatMulRangeAvx2(a, b, c, i0, i1, k, n);
-  const __m256 zero = _mm256_setzero_ps();
-  for (int64_t i = i0; i < i1; ++i) {
-    float* crow = c + i * n;
-    int64_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-      __m256 v = _mm256_add_ps(_mm256_loadu_ps(crow + j),
-                               _mm256_loadu_ps(bias + j));
-      if (relu != 0) v = _mm256_max_ps(v, zero);
-      _mm256_storeu_ps(crow + j, v);
-    }
-    for (; j < n; ++j) {
-      const float v = crow[j] + bias[j];
-      crow[j] = relu != 0 ? (v > 0.0f ? v : 0.0f) : v;
-    }
-  }
-}
-
-void ConvGemmBiasActColsAvx2(const float* a, const float* b,
-                             const float* bias, float* c, int64_t m,
-                             int64_t k, int64_t n, int64_t j0, int64_t j1,
-                             int relu) {
-  ConvGemmBiasColsAvx2(a, b, bias, c, m, k, n, j0, j1);
-  if (relu == 0) return;
-  const __m256 zero = _mm256_setzero_ps();
-  for (int64_t i = 0; i < m; ++i) {
-    float* crow = c + i * n;
-    int64_t j = j0;
-    for (; j + 8 <= j1; j += 8) {
-      _mm256_storeu_ps(crow + j,
-                       _mm256_max_ps(_mm256_loadu_ps(crow + j), zero));
-    }
-    for (; j < j1; ++j) crow[j] = crow[j] > 0.0f ? crow[j] : 0.0f;
-  }
+  BiasActEpilogue<Isa::kAvx2>(nullptr, relu, c, n, i0, i1, j0, j1);
 }
 
 // ------------------------------------------------------- block-quantized
@@ -448,12 +386,10 @@ const KernelTable kAvx2Table = {
     "kernel.avx2",
     &MatMulRangeAvx2,
     &MatMulTransARangeAvx2,
-    &MatMulTransBRangeAvx2,
-    &ConvGemmBiasColsAvx2,
+    &DotGemmRangeAvx2,
     &Q8GemmRowsAvx2,
     &Q4GemmRowsAvx2,
-    &MatMulBiasActRangeAvx2,
-    &ConvGemmBiasActColsAvx2,
+    &MatMulBiasActRange<Isa::kAvx2, &MatMulRangeAvx2>,
 };
 
 }  // namespace

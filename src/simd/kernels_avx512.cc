@@ -277,86 +277,26 @@ inline void DotCols8Avx512(const float* arow, const float* b, int64_t j,
   for (int t = 0; t < 8; ++t) out[t] = static_cast<float>(s[t]);
 }
 
-void MatMulTransBRangeAvx512(const float* a, const float* b, float* c,
-                             int64_t i0, int64_t i1, int64_t k, int64_t n) {
+/// dot_gemm_range: eight columns per DotCols8Avx512 call, then the
+/// scalar chain for the 1-7 columns left.
+void DotGemmRangeAvx512(const float* a, const float* b, const float* bias,
+                        float* c, int64_t i0, int64_t i1, int64_t j0,
+                        int64_t j1, int64_t k, int64_t n, int relu) {
   for (int64_t i = i0; i < i1; ++i) {
     const float* arow = a + i * k;
-    int64_t j = 0;
-    for (; j + 8 <= n; j += 8) {
-      DotCols8Avx512(arow, b, j, k, 0.0, c + i * n + j);
-    }
-    for (; j < n; ++j) {
-      const float* brow = b + j * k;
-      double s = 0.0;
-      for (int64_t p = 0; p < k; ++p) s += arow[p] * brow[p];
-      c[i * n + j] = static_cast<float>(s);
-    }
-  }
-}
-
-void ConvGemmBiasColsAvx512(const float* a, const float* b, const float* bias,
-                            float* c, int64_t m, int64_t k, int64_t n,
-                            int64_t j0, int64_t j1) {
-  for (int64_t i = 0; i < m; ++i) {
-    const float* arow = a + i * k;
-    const double bias_i = static_cast<double>(bias[i]);
+    const double init = bias != nullptr ? static_cast<double>(bias[i]) : 0.0;
     int64_t j = j0;
     for (; j + 8 <= j1; j += 8) {
-      DotCols8Avx512(arow, b, j, k, bias_i, c + i * n + j);
+      DotCols8Avx512(arow, b, j, k, init, c + i * n + j);
     }
     for (; j < j1; ++j) {
       const float* brow = b + j * k;
-      double s = bias_i;
+      double s = init;
       for (int64_t p = 0; p < k; ++p) s += arow[p] * brow[p];
       c[i * n + j] = static_cast<float>(s);
     }
   }
-}
-
-// ------------------------------------------------------ fused epilogues
-//
-// GEMM body untouched; bias + optional relu applied to the stored rows.
-// _mm512_max_ps(v, 0) with zero as the second operand matches the scalar
-// `v > 0.0f ? v : 0.0f` on NaN and the -0/+0 tie, so fusion stays
-// bitwise neutral (see the AVX2 TU for the full argument).
-
-void MatMulBiasActRangeAvx512(const float* a, const float* b,
-                              const float* bias, float* c, int64_t i0,
-                              int64_t i1, int64_t k, int64_t n, int relu) {
-  MatMulRangeAvx512(a, b, c, i0, i1, k, n);
-  const __m512 zero = _mm512_setzero_ps();
-  for (int64_t i = i0; i < i1; ++i) {
-    float* crow = c + i * n;
-    int64_t j = 0;
-    for (; j + 16 <= n; j += 16) {
-      __m512 v = _mm512_add_ps(_mm512_loadu_ps(crow + j),
-                               _mm512_loadu_ps(bias + j));
-      if (relu != 0) v = _mm512_max_ps(v, zero);
-      _mm512_storeu_ps(crow + j, v);
-    }
-    for (; j < n; ++j) {
-      const float v = crow[j] + bias[j];
-      crow[j] = relu != 0 ? (v > 0.0f ? v : 0.0f) : v;
-    }
-  }
-}
-
-void ConvGemmBiasActColsAvx512(const float* a, const float* b,
-                               const float* bias, float* c, int64_t m,
-                               int64_t k, int64_t n, int64_t j0, int64_t j1,
-                               int relu) {
-  ConvGemmBiasColsAvx512(a, b, bias, c, m, k, n, j0, j1);
-  if (relu == 0) return;
-  const __m512 zero = _mm512_setzero_ps();
-  for (int64_t i = 0; i < m; ++i) {
-    float* crow = c + i * n;
-    int64_t j = j0;
-    for (; j + 16 <= j1; j += 16) {
-      _mm512_storeu_ps(crow + j,
-                       _mm512_max_ps(_mm512_loadu_ps(crow + j), zero));
-    }
-    for (; j < j1; ++j) crow[j] = crow[j] > 0.0f ? crow[j] : 0.0f;
-  }
+  BiasActEpilogue<Isa::kAvx512>(nullptr, relu, c, n, i0, i1, j0, j1);
 }
 
 const KernelTable kAvx512Table = {
@@ -364,12 +304,10 @@ const KernelTable kAvx512Table = {
     "kernel.avx512",
     &MatMulRangeAvx512,
     &MatMulTransARangeAvx512,
-    &MatMulTransBRangeAvx512,
-    &ConvGemmBiasColsAvx512,
+    &DotGemmRangeAvx512,
     &Q8GemmRowsAvx2,  // composed: AVX2 bodies time faster on AVX-512 hosts
     &Q4GemmRowsAvx2,
-    &MatMulBiasActRangeAvx512,
-    &ConvGemmBiasActColsAvx512,
+    &MatMulBiasActRange<Isa::kAvx512, &MatMulRangeAvx512>,
 };
 
 }  // namespace

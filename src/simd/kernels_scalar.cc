@@ -102,54 +102,24 @@ void MatMulTransARangeScalar(const float* a, const float* b, float* c,
   }
 }
 
-void MatMulTransBRangeScalar(const float* a, const float* b, float* c,
-                             int64_t i0, int64_t i1, int64_t k, int64_t n) {
-  const float* pa = a;
-  const float* pb = b;
-  float* pc = c;
-  for (int64_t i = i0; i < i1; ++i) {
-    const float* arow = pa + i * k;
-    int64_t j = 0;
-    for (; j + 4 <= n; j += 4) {
-      const float* b0 = pb + (j + 0) * k;
-      const float* b1 = pb + (j + 1) * k;
-      const float* b2 = pb + (j + 2) * k;
-      const float* b3 = pb + (j + 3) * k;
-      double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-      for (int64_t p = 0; p < k; ++p) {
-        const float av = arow[p];
-        s0 += av * b0[p];
-        s1 += av * b1[p];
-        s2 += av * b2[p];
-        s3 += av * b3[p];
-      }
-      pc[i * n + j + 0] = static_cast<float>(s0);
-      pc[i * n + j + 1] = static_cast<float>(s1);
-      pc[i * n + j + 2] = static_cast<float>(s2);
-      pc[i * n + j + 3] = static_cast<float>(s3);
-    }
-    for (; j < n; ++j) {
-      const float* brow = pb + j * k;
-      double s = 0.0;
-      for (int64_t p = 0; p < k; ++p) s += arow[p] * brow[p];
-      pc[i * n + j] = static_cast<float>(s);
-    }
-  }
-}
+namespace {
 
-void ConvGemmBiasColsScalar(const float* a, const float* b, const float* bias,
-                            float* c, int64_t m, int64_t k, int64_t n,
-                            int64_t j0, int64_t j1) {
-  for (int64_t i = 0; i < m; ++i) {
+/// Four columns per step, each a double chain from the row's start value:
+/// float multiply, widen, double add, ascending p.
+void DotGemmRangeScalar(const float* a, const float* b, const float* bias,
+                        float* c, int64_t i0, int64_t i1, int64_t j0,
+                        int64_t j1, int64_t k, int64_t n, int relu) {
+  for (int64_t i = i0; i < i1; ++i) {
     const float* arow = a + i * k;
-    const double bias_i = static_cast<double>(bias[i]);
+    const double init = bias != nullptr ? static_cast<double>(bias[i]) : 0.0;
+    float* crow = c + i * n;
     int64_t j = j0;
     for (; j + 4 <= j1; j += 4) {
       const float* b0 = b + (j + 0) * k;
       const float* b1 = b + (j + 1) * k;
       const float* b2 = b + (j + 2) * k;
       const float* b3 = b + (j + 3) * k;
-      double s0 = bias_i, s1 = bias_i, s2 = bias_i, s3 = bias_i;
+      double s0 = init, s1 = init, s2 = init, s3 = init;
       for (int64_t p = 0; p < k; ++p) {
         const float av = arow[p];
         s0 += av * b0[p];
@@ -157,54 +127,22 @@ void ConvGemmBiasColsScalar(const float* a, const float* b, const float* bias,
         s2 += av * b2[p];
         s3 += av * b3[p];
       }
-      c[i * n + j + 0] = static_cast<float>(s0);
-      c[i * n + j + 1] = static_cast<float>(s1);
-      c[i * n + j + 2] = static_cast<float>(s2);
-      c[i * n + j + 3] = static_cast<float>(s3);
+      crow[j + 0] = static_cast<float>(s0);
+      crow[j + 1] = static_cast<float>(s1);
+      crow[j + 2] = static_cast<float>(s2);
+      crow[j + 3] = static_cast<float>(s3);
     }
     for (; j < j1; ++j) {
       const float* brow = b + j * k;
-      double s = bias_i;
+      double s = init;
       for (int64_t p = 0; p < k; ++p) s += arow[p] * brow[p];
-      c[i * n + j] = static_cast<float>(s);
+      crow[j] = static_cast<float>(s);
     }
   }
+  BiasActEpilogue<Isa::kScalar>(nullptr, relu, c, n, i0, i1, j0, j1);
 }
 
-// ------------------------------------------------------ fused epilogues
-//
-// The fusion pass's dense epilogue: run the untouched GEMM range, then
-// add the bias and (optionally) apply relu to the finished rows while
-// they are cache-hot. A float stored and reloaded is the identical bit
-// pattern, so folding the former separate bias/relu output passes into
-// the kernel cannot change any result.
-
-void MatMulBiasActRangeScalar(const float* a, const float* b,
-                              const float* bias, float* c, int64_t i0,
-                              int64_t i1, int64_t k, int64_t n, int relu) {
-  MatMulRangeScalar(a, b, c, i0, i1, k, n);
-  for (int64_t i = i0; i < i1; ++i) {
-    float* crow = c + i * n;
-    for (int64_t j = 0; j < n; ++j) {
-      const float v = crow[j] + bias[j];
-      crow[j] = relu != 0 ? (v > 0.0f ? v : 0.0f) : v;
-    }
-  }
-}
-
-void ConvGemmBiasActColsScalar(const float* a, const float* b,
-                               const float* bias, float* c, int64_t m,
-                               int64_t k, int64_t n, int64_t j0, int64_t j1,
-                               int relu) {
-  ConvGemmBiasColsScalar(a, b, bias, c, m, k, n, j0, j1);
-  if (relu == 0) return;
-  for (int64_t i = 0; i < m; ++i) {
-    float* crow = c + i * n;
-    for (int64_t j = j0; j < j1; ++j) {
-      crow[j] = crow[j] > 0.0f ? crow[j] : 0.0f;
-    }
-  }
-}
+}  // namespace
 
 // ------------------------------------------------------- block-quantized
 //
@@ -274,12 +212,10 @@ const KernelTable kScalarTable = {
     "kernel.scalar",
     &MatMulRangeScalar,
     &MatMulTransARangeScalar,
-    &MatMulTransBRangeScalar,
-    &ConvGemmBiasColsScalar,
+    &DotGemmRangeScalar,
     &Q8GemmRowsScalar,
     &Q4GemmRowsScalar,
-    &MatMulBiasActRangeScalar,
-    &ConvGemmBiasActColsScalar,
+    &MatMulBiasActRange<Isa::kScalar, &MatMulRangeScalar>,
 };
 }  // namespace
 

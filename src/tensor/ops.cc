@@ -85,9 +85,9 @@ Tensor MatMulTransB(const Tensor& a, const Tensor& b) {
   const float* pa = a.data();
   const float* pb = b.data();
   float* pc = c.data();
-  auto* kernel = kt.matmul_tb_range;
+  auto* kernel = kt.dot_gemm_range;
   ParallelFor(0, m, kRowGrain, [=](int64_t i0, int64_t i1) {
-    kernel(pa, pb, pc, i0, i1, k, n);
+    kernel(pa, pb, nullptr, pc, i0, i1, 0, n, k, n, 0);
   });
   return c;
 }
@@ -102,23 +102,6 @@ void MatMulInto(const float* a, const float* b, float* c, int64_t m,
   auto* kernel = kt.matmul_range;
   ParallelFor(0, m, kRowGrain, [=](int64_t i0, int64_t i1) {
     kernel(a, b, c, i0, i1, k, n);
-  });
-}
-
-void ConvGemmBiasInto(const float* a, const float* b, const float* bias,
-                      float* c, int64_t m, int64_t k, int64_t n) {
-  const simd::KernelTable& kt = simd::ActiveKernels();
-  simd::CountDispatch(kt);
-  DLSYS_TRACE_SPAN_COST_CAT("gemm.conv_gemm_bias", kt.span_cat,
-                            2 * m * k * n, 4 * (m * k + k * n + m * n));
-  DLSYS_COST_FLOPS(2 * m * k * n);
-  // Rows are output channels (few); columns are spatial positions (many),
-  // so the column range is what gets partitioned. Each element is owned by
-  // exactly one range and accumulated bias-first, ascending-p, in a double
-  // — the direct convolution's exact operation sequence in every table.
-  auto* kernel = kt.conv_gemm_bias_cols;
-  ParallelFor(0, n, 64, [=](int64_t j0, int64_t j1) {
-    kernel(a, b, bias, c, m, k, n, j0, j1);
   });
 }
 
@@ -142,13 +125,18 @@ void ConvGemmBiasActInto(const float* a, const float* b, const float* bias,
                          bool relu) {
   const simd::KernelTable& kt = simd::ActiveKernels();
   simd::CountDispatch(kt);
-  DLSYS_TRACE_SPAN_COST_CAT("gemm.conv_gemm_bias_act", kt.span_cat,
-                            2 * m * k * n, 4 * (m * k + k * n + m * n));
+  DLSYS_TRACE_SPAN_COST_CAT(
+      relu ? "gemm.conv_gemm_bias_act" : "gemm.conv_gemm_bias", kt.span_cat,
+      2 * m * k * n, 4 * (m * k + k * n + m * n));
   DLSYS_COST_FLOPS(2 * m * k * n);
-  auto* kernel = kt.conv_gemm_bias_act_cols;
+  // Rows are output channels (few); columns are spatial positions (many),
+  // so the column range is what gets partitioned. Each element is owned by
+  // exactly one range and accumulated bias-first, ascending-p, in a double
+  // — the direct convolution's exact operation sequence in every table.
+  auto* kernel = kt.dot_gemm_range;
   const int relu_flag = relu ? 1 : 0;
   ParallelFor(0, n, 64, [=](int64_t j0, int64_t j1) {
-    kernel(a, b, bias, c, m, k, n, j0, j1, relu_flag);
+    kernel(a, b, bias, c, 0, m, j0, j1, k, n, relu_flag);
   });
 }
 

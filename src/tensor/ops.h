@@ -55,20 +55,6 @@ Tensor NaiveMatMulTransB(const Tensor& a, const Tensor& b);
 void MatMulInto(const float* a, const float* b, float* c, int64_t m,
                 int64_t k, int64_t n);
 
-/// \brief C(MxN) = bias(M) + A(MxK) * B(NxK)^T into caller storage, with
-/// the convolution forward's accumulation semantics.
-///
-/// Each output element starts from bias[i] in a double accumulator and
-/// adds float products a[i,p]*b[j,p] in ascending p — exactly the
-/// (ic, ky, kx) term order of Conv2D's direct loop nest. With A = the
-/// (out_ch x in_ch*k*k) weight matrix and B = im2col patches (positions x
-/// in_ch*k*k), the result is the conv output plane, bitwise identical to
-/// the direct path on finite data (padded zero taps add +/-0.0f products,
-/// which leave a finite accumulator unchanged). Register-tiled over four
-/// output columns, row-parallel, allocation-free.
-void ConvGemmBiasInto(const float* a, const float* b, const float* bias,
-                      float* c, int64_t m, int64_t k, int64_t n);
-
 /// \brief C(MxN) = act(A(MxK) * B(KxN) + bias(N)) into caller storage —
 /// MatMulInto with the bias add and optional relu fused into the range
 /// kernel's epilogue (act = relu when \p relu is true, identity
@@ -83,9 +69,19 @@ void ConvGemmBiasInto(const float* a, const float* b, const float* bias,
 void MatMulBiasActInto(const float* a, const float* b, const float* bias,
                        float* c, int64_t m, int64_t k, int64_t n, bool relu);
 
-/// \brief ConvGemmBiasInto with an optional relu fused into the column
-/// kernel (applied to each finished output element; bitwise identical to
-/// a separate relu pass over the output).
+/// \brief C(MxN) = act(bias(M) + A(MxK) * B(NxK)^T) into caller storage,
+/// with the convolution forward's accumulation semantics (act = relu when
+/// \p relu is true, identity otherwise).
+///
+/// Each output element starts from bias[i] in a double accumulator and
+/// adds float products a[i,p]*b[j,p] in ascending p — exactly the
+/// (ic, ky, kx) term order of Conv2D's direct loop nest. With A = the
+/// (out_ch x in_ch*k*k) weight matrix and B = im2col patches (positions x
+/// in_ch*k*k), the result is the conv output plane, bitwise identical to
+/// the direct path on finite data (padded zero taps add +/-0.0f products,
+/// which leave a finite accumulator unchanged). The relu runs on each
+/// finished element inside the column range, bitwise identical to a
+/// separate relu pass over the output. Column-parallel, allocation-free.
 void ConvGemmBiasActInto(const float* a, const float* b, const float* bias,
                          float* c, int64_t m, int64_t k, int64_t n,
                          bool relu);

@@ -799,36 +799,6 @@ TEST(LoadGenTest, OpenLoopReplaysBitForBit) {
   EXPECT_EQ(t1.outputs, t2.outputs);
 }
 
-TEST(LoadGenTest, ClosedLoopCompletesEveryClientBudget) {
-  ModelRegistry registry;
-  ServerConfig config;
-  config.workers = 2;
-  config.queue_capacity = 32;
-  config.batch.max_batch = 4;
-  config.batch.max_delay_ms = 0.2;
-  config.default_deadline_ms = 50.0;
-  auto created = Server::Create(&registry, config);
-  ASSERT_TRUE(created.ok());
-  std::unique_ptr<Server> server = std::move(created).value();
-  ASSERT_TRUE(server->Publish("m", MakeNet(51), {16}).ok());
-
-  ClosedLoopConfig load;
-  load.seed = 6;
-  load.clients = 3;
-  load.requests_per_client = 20;
-  load.think_ms = 1.0;
-  load.model = "m";
-  const LoadReport report = RunClosedLoop(server.get(), load);
-  // Closed-loop offered load self-limits well under capacity here, so
-  // nothing sheds and every attempt completes.
-  EXPECT_EQ(report.offered, 60);
-  EXPECT_EQ(report.admitted, 60);
-  EXPECT_EQ(report.shed, 0);
-  EXPECT_EQ(report.completed, 60);
-  EXPECT_EQ(report.latency.count(), 60);
-  EXPECT_GT(report.sim_throughput_rps, 0.0);
-}
-
 // ------------------------------------------------- slot scheduler QoS
 
 TEST(ServerConfigTest, ValidateCatchesBadQosFields) {

@@ -71,15 +71,22 @@ TEST(DispatchTest, ParseIsaSpellings) {
 
 TEST(DispatchTest, ScalarAlwaysSupportedAndComplete) {
   EXPECT_TRUE(simd::IsaSupported(simd::Isa::kScalar));
-  const simd::KernelTable* table = simd::GetScalarTable();
-  ASSERT_NE(table, nullptr);
-  EXPECT_EQ(table->isa, simd::Isa::kScalar);
-  EXPECT_NE(table->matmul_range, nullptr);
-  EXPECT_NE(table->matmul_ta_range, nullptr);
-  EXPECT_NE(table->matmul_tb_range, nullptr);
-  EXPECT_NE(table->conv_gemm_bias_cols, nullptr);
-  EXPECT_NE(table->q8_gemm_rows, nullptr);
-  EXPECT_NE(table->q4_gemm_rows, nullptr);
+  const simd::KernelTable* scalar = simd::GetScalarTable();
+  ASSERT_NE(scalar, nullptr);
+  EXPECT_EQ(scalar->isa, simd::Isa::kScalar);
+  // Every registered table fills all six entries.
+  IsaRestore restore;
+  for (simd::Isa isa : SupportedIsas()) {
+    simd::SetIsa(isa);
+    const simd::KernelTable& table = simd::ActiveKernels();
+    SCOPED_TRACE(simd::IsaName(isa));
+    EXPECT_NE(table.matmul_range, nullptr);
+    EXPECT_NE(table.matmul_ta_range, nullptr);
+    EXPECT_NE(table.dot_gemm_range, nullptr);
+    EXPECT_NE(table.q8_gemm_rows, nullptr);
+    EXPECT_NE(table.q4_gemm_rows, nullptr);
+    EXPECT_NE(table.matmul_bias_act_range, nullptr);
+  }
 }
 
 TEST(DispatchTest, SetIsaSelectsMatchingTable) {
@@ -164,10 +171,11 @@ TEST(SimdParityTest, ConvGemmBiasBitwiseAcrossIsasAndThreads) {
     bt.FillGaussian(&rng, 1.0f);
     bias.FillGaussian(&rng, 1.0f);
 
-    // Reference: the scalar range kernel over the full column span.
+    // Reference: the scalar dot-GEMM body over the whole output.
     std::vector<float> ref(static_cast<size_t>(s.m * s.n));
-    simd::ConvGemmBiasColsScalar(a.data(), bt.data(), bias.data(), ref.data(),
-                                 s.m, s.k, s.n, 0, s.n);
+    simd::GetScalarTable()->dot_gemm_range(a.data(), bt.data(), bias.data(),
+                                           ref.data(), 0, s.m, 0, s.n, s.k,
+                                           s.n, 0);
 
     std::vector<float> c(static_cast<size_t>(s.m * s.n));
     for (simd::Isa isa : SupportedIsas()) {
@@ -179,8 +187,8 @@ TEST(SimdParityTest, ConvGemmBiasBitwiseAcrossIsasAndThreads) {
                      std::to_string(s.m) + " k=" + std::to_string(s.k) +
                      " n=" + std::to_string(s.n));
         std::fill(c.begin(), c.end(), -1.0f);  // stale data must be overwritten
-        ConvGemmBiasInto(a.data(), bt.data(), bias.data(), c.data(), s.m, s.k,
-                         s.n);
+        ConvGemmBiasActInto(a.data(), bt.data(), bias.data(), c.data(), s.m,
+                            s.k, s.n, /*relu=*/false);
         EXPECT_TRUE(BitwiseEqual(c.data(), ref.data(), s.m * s.n));
       }
     }
@@ -247,8 +255,8 @@ TEST(SimdParityTest, ConvGemmBiasActBitwiseEqualsSeparateRelu) {
       simd::SetIsa(simd::Isa::kScalar);
       RuntimeConfig::SetThreads(1);
       std::vector<float> ref(static_cast<size_t>(s.m * s.n));
-      ConvGemmBiasInto(a.data(), bt.data(), bias.data(), ref.data(), s.m,
-                       s.k, s.n);
+      ConvGemmBiasActInto(a.data(), bt.data(), bias.data(), ref.data(), s.m,
+                          s.k, s.n, /*relu=*/false);
       if (relu) {
         for (float& v : ref) v = v > 0.0f ? v : 0.0f;
       }
@@ -328,10 +336,11 @@ TEST(SimdParityTest, BlockGemmBitExactAcrossIsasAndThreads) {
 // ------------------------------------- cache-blocked loop boundaries
 //
 // The fp32 row-range bodies split k into blocks of kPanelKc rows and copy
-// each block of a B column panel once per range; the q8/q4 bodies run
-// 4-row x 8-column tiles. These cases sit on and around every boundary of
-// those loops and compare bit for bit with the scalar bodies, with C
-// pre-filled with garbage (every body must overwrite its rows).
+// each block of a B column panel once per range; the dot-GEMM bodies step
+// 4 or 8 columns at a time; the q8/q4 bodies run 4-row x 8-column tiles.
+// These cases sit on and around every boundary of those loops and compare
+// bit for bit with the scalar bodies, with C pre-filled with garbage
+// (every body must overwrite its range).
 
 constexpr int64_t kPanelKc = 256;  // k rows per packed panel block
 
@@ -350,9 +359,17 @@ void RunRows(int64_t m, const std::function<void(int64_t, int64_t)>& body) {
   ParallelFor(0, m, 8, [&](int64_t i0, int64_t i1) { body(i0, i1); });
 }
 
+/// Column-partitioned calls, as the conv GEMM makes them, at a finer grain
+/// than its 64 so that unaligned column boundaries fall inside these
+/// small shapes.
+void RunCols(int64_t n, const std::function<void(int64_t, int64_t)>& body) {
+  ParallelFor(0, n, 8, [&](int64_t j0, int64_t j1) { body(j0, j1); });
+}
+
 TEST(SimdParityTest, FloatPanelBoundariesBitwiseOnGarbageC) {
   IsaRestore restore;
   Rng rng(40);
+  Rng row_rng(44);  // a stream of its own keeps the other operands as before
   const int64_t kMs[] = {1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 33};
   const int64_t kNs[] = {1, 10, 15, 16, 17, 31, 32, 33, 64, 100};
   const int64_t kKs[] = {0, 1, kPanelKc - 1, kPanelKc, kPanelKc + 1,
@@ -361,27 +378,46 @@ TEST(SimdParityTest, FloatPanelBoundariesBitwiseOnGarbageC) {
   for (int64_t k : kKs) {
     for (int64_t m : kMs) {
       for (int64_t n : kNs) {
-        Tensor a({m, k}), b({k, n}), bias({n});
+        Tensor a({m, k}), b({k, n}), bias({n}), row_bias({m});
         a.FillGaussian(&rng, 1.0f);
         b.FillGaussian(&rng, 1.0f);
         bias.FillGaussian(&rng, 1.0f);
+        row_bias.FillGaussian(&row_rng, 1.0f);
         const Tensor at = Transpose(a);  // (k, m) for matmul_ta_range
+        const Tensor bt = Transpose(b);  // (n, k) for dot_gemm_range
         const std::string where = "m=" + std::to_string(m) +
                                   " k=" + std::to_string(k) +
                                   " n=" + std::to_string(n);
 
         // References: the scalar bodies over the whole range, on garbage.
+        // The fused ones finish with separate bias and relu passes written
+        // here, so they do not share the kernels' epilogue.
         const size_t size = static_cast<size_t>(m * n);
+        const simd::KernelTable& scalar = *simd::GetScalarTable();
         std::vector<float> ref(size, Garbage()), ref_ta(size, Garbage()),
-            ref_ba(size, Garbage());
+            ref_tb(size, Garbage()), ref_conv(size, Garbage());
         simd::MatMulRangeScalar(a.data(), b.data(), ref.data(), 0, m, k, n);
         simd::MatMulTransARangeScalar(at.data(), b.data(), ref_ta.data(), 0,
                                       m, k, m, n);
-        simd::MatMulBiasActRangeScalar(a.data(), b.data(), bias.data(),
-                                       ref_ba.data(), 0, m, k, n, 1);
+        scalar.dot_gemm_range(a.data(), bt.data(), nullptr, ref_tb.data(), 0,
+                              m, 0, n, k, n, 0);
+        scalar.dot_gemm_range(a.data(), bt.data(), row_bias.data(),
+                              ref_conv.data(), 0, m, 0, n, k, n, 0);
+        std::vector<float> ref_ba = ref;
+        for (int64_t i = 0; i < m; ++i) {
+          for (int64_t j = 0; j < n; ++j) {
+            float& v = ref_ba[static_cast<size_t>(i * n + j)];
+            v += bias[j];
+            v = v > 0.0f ? v : 0.0f;
+          }
+        }
+        for (float& v : ref_conv) v = v > 0.0f ? v : 0.0f;
         const Tensor naive = NaiveMatMul(a, b);
         ASSERT_TRUE(BitwiseEqual(ref.data(), naive.data(), m * n)) << where;
         ASSERT_TRUE(BitwiseEqual(ref_ta.data(), naive.data(), m * n))
+            << where;
+        const Tensor naive_tb = NaiveMatMulTransB(a, bt);
+        ASSERT_TRUE(BitwiseEqual(ref_tb.data(), naive_tb.data(), m * n))
             << where;
 
         std::vector<float> c(size);
@@ -406,6 +442,19 @@ TEST(SimdParityTest, FloatPanelBoundariesBitwiseOnGarbageC) {
             MatMulBiasActInto(a.data(), b.data(), bias.data(), c.data(), m, k,
                               n, /*relu=*/true);
             EXPECT_TRUE(BitwiseEqual(c.data(), ref_ba.data(), m * n)) << tag;
+            std::fill(c.begin(), c.end(), Garbage());
+            RunRows(m, [&](int64_t i0, int64_t i1) {
+              kt.dot_gemm_range(a.data(), bt.data(), nullptr, c.data(), i0,
+                                i1, 0, n, k, n, 0);
+            });
+            EXPECT_TRUE(BitwiseEqual(c.data(), ref_tb.data(), m * n)) << tag;
+            std::fill(c.begin(), c.end(), Garbage());
+            RunCols(n, [&](int64_t j0, int64_t j1) {
+              kt.dot_gemm_range(a.data(), bt.data(), row_bias.data(),
+                                c.data(), 0, m, j0, j1, k, n, 1);
+            });
+            EXPECT_TRUE(BitwiseEqual(c.data(), ref_conv.data(), m * n))
+                << tag;
           }
         }
       }
@@ -484,16 +533,20 @@ TEST(SimdParityTest, DirectRangeCallsWriteOnlyTheirRows) {
   // [i0, i1) must equal the scalar body's, rows outside must keep their
   // sentinel bits. [3, 5) is the shortest AVX-512 panel range and runs
   // the scalar body on AVX2; [3, 12) and [3, 29) take the panel loop on
-  // both, with row tails.
+  // both, with row tails. The dot-GEMM entry is also called
+  // column-partitioned, as the conv GEMM calls it, with a bias and relu:
+  // there the columns outside [j0, j1) must keep their sentinel bits.
   IsaRestore restore;
   Rng rng(42);
   const int64_t m = 32, k = 2 * kPanelKc + 3, n = 41, kp = 288;
-  Tensor a({m, k}), b({k, n}), bias({n});
+  Tensor a({m, k}), b({k, n}), bias({n}), row_bias({m});
   a.FillGaussian(&rng, 1.0f);
   b.FillGaussian(&rng, 1.0f);
   bias.FillGaussian(&rng, 1.0f);
   const Tensor at = Transpose(a);
+  const Tensor bt = Transpose(b);
   BlockOperands q(m, kp, n, &rng);
+  row_bias.FillGaussian(&rng, 1.0f);
   const simd::KernelTable& scalar = *simd::GetScalarTable();
 
   using RangeCall = std::function<void(const simd::KernelTable&, float*,
@@ -511,6 +564,11 @@ TEST(SimdParityTest, DirectRangeCallsWriteOnlyTheirRows) {
        [&](const simd::KernelTable& kt, float* c, int64_t i0, int64_t i1) {
          kt.matmul_bias_act_range(a.data(), b.data(), bias.data(), c, i0, i1,
                                   k, n, 0);
+       }},
+      {"dot_gemm_range",
+       [&](const simd::KernelTable& kt, float* c, int64_t i0, int64_t i1) {
+         kt.dot_gemm_range(a.data(), bt.data(), nullptr, c, i0, i1, 0, n, k,
+                           n, 0);
        }},
       {"q8_gemm_rows",
        [&](const simd::KernelTable& kt, float* c, int64_t i0, int64_t i1) {
@@ -546,13 +604,46 @@ TEST(SimdParityTest, DirectRangeCallsWriteOnlyTheirRows) {
       }
     }
   }
+
+  std::vector<float> ref(size, Garbage());
+  scalar.dot_gemm_range(a.data(), bt.data(), row_bias.data(), ref.data(), 0,
+                        m, 0, n, k, n, 1);
+  for (simd::Isa isa : SupportedIsas()) {
+    simd::SetIsa(isa);
+    for (const auto& [j0, j1] : {std::pair<int64_t, int64_t>{3, 5},
+                                 std::pair<int64_t, int64_t>{3, 12},
+                                 std::pair<int64_t, int64_t>{3, 29}}) {
+      SCOPED_TRACE(std::string("dot_gemm_range isa=") + simd::IsaName(isa) +
+                   " cols=[" + std::to_string(j0) + "," +
+                   std::to_string(j1) + ")");
+      std::vector<float> c(size, Garbage());
+      const std::vector<float> sentinel = c;
+      simd::ActiveKernels().dot_gemm_range(a.data(), bt.data(),
+                                           row_bias.data(), c.data(), 0, m,
+                                           j0, j1, k, n, 1);
+      for (int64_t i = 0; i < m; ++i) {
+        const int64_t row = i * n;
+        EXPECT_TRUE(BitwiseEqual(c.data() + row, sentinel.data() + row, j0))
+            << "row " << i;
+        EXPECT_TRUE(BitwiseEqual(c.data() + row + j0, ref.data() + row + j0,
+                                 j1 - j0))
+            << "row " << i;
+        EXPECT_TRUE(BitwiseEqual(c.data() + row + j1,
+                                 sentinel.data() + row + j1, n - j1))
+            << "row " << i;
+      }
+    }
+  }
 }
 
 TEST(SimdParityTest, ZeroActivationRowGivesPositiveZero) {
   // Every element's chain starts from +0.0. A zero A row against an
   // all-negative B (fp32) or negative B scales (q8/q4) makes every term
   // -0.0: +0.0 + -0.0 is +0.0, whereas a body that seeded its accumulator
-  // with the first term would leave -0.0 behind.
+  // with the first term would leave -0.0 behind. The dot-GEMM entry is
+  // checked twice: row-partitioned with a null bias (the chain's +0.0
+  // start), and column-partitioned with a -0.0 bias on the zero row and
+  // relu on, where only the relu turns the row's -0.0 sums into +0.0.
   IsaRestore restore;
   Rng rng(43);
   const int64_t k = kPanelKc + 1, n = 37, kp = 288;
@@ -564,6 +655,9 @@ TEST(SimdParityTest, ZeroActivationRowGivesPositiveZero) {
     const int64_t zero_row = m - 2;
     for (int64_t p = 0; p < k; ++p) a[zero_row * k + p] = 0.0f;
     const Tensor at = Transpose(a);
+    const Tensor bt = Transpose(b);
+    Tensor row_bias({m});
+    for (int64_t i = 0; i < m; ++i) row_bias[i] = i == zero_row ? -0.0f : 1.0f;
     BlockOperands q(m, kp, n, &rng);
     std::fill(q.a.begin() + zero_row * kp, q.a.begin() + (zero_row + 1) * kp,
               int8_t{0});
@@ -586,6 +680,18 @@ TEST(SimdParityTest, ZeroActivationRowGivesPositiveZero) {
       std::fill(c.begin(), c.end(), Garbage());
       kt.matmul_ta_range(at.data(), b.data(), c.data(), 0, m, k, m, n);
       expect_positive_zero_row("matmul_ta_range");
+      std::fill(c.begin(), c.end(), Garbage());
+      RunRows(m, [&](int64_t i0, int64_t i1) {
+        kt.dot_gemm_range(a.data(), bt.data(), nullptr, c.data(), i0, i1, 0,
+                          n, k, n, 0);
+      });
+      expect_positive_zero_row("dot_gemm_range rows");
+      std::fill(c.begin(), c.end(), Garbage());
+      RunCols(n, [&](int64_t j0, int64_t j1) {
+        kt.dot_gemm_range(a.data(), bt.data(), row_bias.data(), c.data(), 0,
+                          m, j0, j1, k, n, 1);
+      });
+      expect_positive_zero_row("dot_gemm_range cols, relu");
       std::fill(c.begin(), c.end(), Garbage());
       kt.q8_gemm_rows(q.a.data(), q.a_scales.data(), q.b8.data(),
                       q.b_scales.data(), c.data(), 0, m, kp, n);
