@@ -1,8 +1,10 @@
 // Inference engine bench (E31): steady-state allocation counts and batch-1
-// latency of the arena-planned engine vs the training forward, im2col vs
-// direct convolution, the engine's int8 (q8-block) vs fp32 dense GEMM at
-// equal shapes, and the micro-batching throughput/p99 frontier of a
-// one-worker Server. Results land in BENCH_inference.json.
+// latency of the arena-planned engine vs the training forward, the
+// engine's im2col conv vs the training forward's direct loop nest, the
+// engine's int8 (q8-block) vs fp32 dense GEMM at equal shapes, the
+// micro-batching throughput/p99 frontier of a one-worker Server, and
+// (E36) the graph compiler's fused node count and liveness-packed
+// workspace on a funnel MLP. Results land in BENCH_inference.json.
 //
 // Standalone binary (not google-benchmark): it installs a global
 // operator new hook to count heap allocations, which must not race with a
@@ -18,7 +20,6 @@
 #include <cstring>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "src/compress/quantization.h"
@@ -161,14 +162,16 @@ SteadyState BenchSteadyState() {
   return result;
 }
 
-// --------------------------------------------------- 2. im2col vs direct
+// ------------------------------------------ 2. im2col vs the direct nest
 
-struct ConvAlgoRow {
-  double im2col_ms = 0.0;
-  double direct_ms = 0.0;
+struct ConvRow {
+  double im2col_ms = 0.0;   ///< engine: im2col patches + conv GEMM
+  double forward_ms = 0.0;  ///< Sequential::Forward(kNoCache): direct nest
 };
 
-ConvAlgoRow BenchConvAlgo() {
+/// The engine's conv runs as im2col + GEMM; the training forward is the
+/// plain clipped loop nest. Both produce the same bits (test_inference).
+ConvRow BenchConv() {
   Rng rng(52);
   const int64_t img = g_smoke ? 8 : 24;
   Sequential net = MakeCnn(img, g_smoke ? 3 : 12, g_smoke ? 4 : 16, 10);
@@ -177,23 +180,23 @@ ConvAlgoRow BenchConvAlgo() {
   Tensor x({batch, 1, img, img});
   x.FillGaussian(&rng, 1.0f);
 
-  ConvAlgoRow row;
-  for (ConvAlgo algo : {ConvAlgo::kIm2col, ConvAlgo::kDirect}) {
-    EngineConfig config;
-    config.max_batch = batch;
-    config.conv_algo = algo;
-    auto compiled = InferenceEngine::Compile(net, {1, img, img}, config);
-    DLSYS_CHECK(compiled.ok(), "conv-algo compile failed");
-    InferenceEngine engine = std::move(compiled).value();
-    Tensor out({batch, engine.output_elems_per_example()});
-    const int iters = g_smoke ? 3 : 10;
-    const double ms = MedianMs(iters, [&] {
-      DLSYS_CHECK(engine.PredictInto(x.data(), batch, out.data()).ok(),
-                  "predict");
-      g_sink = out[0];
-    });
-    (algo == ConvAlgo::kIm2col ? row.im2col_ms : row.direct_ms) = ms;
-  }
+  auto compiled =
+      InferenceEngine::Compile(net, {1, img, img}, EngineConfig{batch});
+  DLSYS_CHECK(compiled.ok(), "conv compile failed");
+  InferenceEngine engine = std::move(compiled).value();
+  Tensor out({batch, engine.output_elems_per_example()});
+  const int iters = g_smoke ? 3 : 10;
+  const std::vector<double> ms = InterleavedMedianMs(
+      iters, {[&] {
+                DLSYS_CHECK(
+                    engine.PredictInto(x.data(), batch, out.data()).ok(),
+                    "predict");
+                g_sink = out[0];
+              },
+              [&] { g_sink = net.Forward(x, CacheMode::kNoCache)[0]; }});
+  ConvRow row;
+  row.im2col_ms = ms[0];
+  row.forward_ms = ms[1];
   return row;
 }
 
@@ -339,197 +342,28 @@ std::vector<FrontierRow> BenchFrontier() {
   return rows;
 }
 
-// ------------------------------------------------ 5. pass pipeline (E36)
+// ------------------------------------------ 5. funnel graph + arena (E36)
 
-struct PassPipelineRows {
-  double dense_relu_unfused_ms = 0.0;  ///< fp32 dense+relu, DLSYS_PASSES=none
-  double dense_relu_fused_ms = 0.0;    ///< same net, fusion pass on
-  double conv_relu_unfused_ms = 0.0;
-  double conv_relu_fused_ms = 0.0;
-  double int8_none_ms = 0.0;     ///< quantized chain, all passes off
-  double int8_fuse_qe_ms = 0.0;  ///< + fusion and quant/dequant elimination
-  double int8_fold_ms = 0.0;     ///< + constant folding alone
-  double int8_all_ms = 0.0;      ///< the full pipeline
-  int64_t nodes_unfused = 0;     ///< funnel MLP graph nodes, fusion off
-  int64_t nodes_fused = 0;       ///< same graph after fusion
-  int64_t funnel_unpacked_bytes = 0;  ///< ping-pong workspace plan
-  int64_t funnel_packed_bytes = 0;    ///< liveness-packed plan
-  bool fp32_bitwise_equal = false;    ///< fused output == unfused, bitwise
+struct FunnelRow {
+  int64_t graph_nodes = 0;      ///< live graph nodes after fusion
+  int64_t workspace_bytes = 0;  ///< liveness-packed arena plan
 };
 
-/// Times one net compiled with DLSYS_PASSES=none vs =all and bit-compares
-/// the outputs. Engine arenas land on whatever pages the allocator hands
-/// out, and at these shapes page placement swings per-call time by more
-/// than the rewrite under test (up to ~15% observed, in either direction,
-/// keyed on which engine compiled last). So instead of one engine pair,
-/// sample several freshly compiled pairs with alternating compile order
-/// and take each side's median — the placement lottery then cancels
-/// instead of systematically biasing one side.
-struct FusedPairMs {
-  double unfused_ms = 0.0;
-  double fused_ms = 0.0;
-  bool bitwise_equal = true;
-};
-
-FusedPairMs TimeFusedPair(const Sequential& net,
-                          const std::vector<int64_t>& shape, int64_t batch,
-                          const Tensor& x, int iters, int pairs) {
-  FusedPairMs result;
-  std::vector<double> un_ms, fu_ms;
-  for (int p = 0; p < pairs; ++p) {
-    auto compile = [&](const char* spec) {
-      setenv("DLSYS_PASSES", spec, 1);
-      auto compiled = InferenceEngine::Compile(net, shape, EngineConfig{batch});
-      DLSYS_CHECK(compiled.ok(), "pass-pipeline compile failed");
-      return std::move(compiled).value();
-    };
-    const bool fused_first = (p % 2) != 0;
-    InferenceEngine a = compile(fused_first ? "all" : "none");
-    InferenceEngine b = compile(fused_first ? "none" : "all");
-    InferenceEngine& unfused = fused_first ? b : a;
-    InferenceEngine& fused = fused_first ? a : b;
-    Tensor out_unfused({batch, unfused.output_elems_per_example()});
-    Tensor out_fused({batch, fused.output_elems_per_example()});
-    const std::vector<double> ms = InterleavedMedianMs(
-        iters,
-        {[&] {
-           DLSYS_CHECK(
-               unfused.PredictInto(x.data(), batch, out_unfused.data()).ok(),
-               "predict");
-           g_sink = out_unfused[0];
-         },
-         [&] {
-           DLSYS_CHECK(
-               fused.PredictInto(x.data(), batch, out_fused.data()).ok(),
-               "predict");
-           g_sink = out_fused[0];
-         }});
-    un_ms.push_back(ms[0]);
-    fu_ms.push_back(ms[1]);
-    result.bitwise_equal =
-        result.bitwise_equal &&
-        std::memcmp(out_unfused.data(), out_fused.data(),
-                    static_cast<size_t>(out_unfused.bytes())) == 0;
-  }
-  std::sort(un_ms.begin(), un_ms.end());
-  std::sort(fu_ms.begin(), fu_ms.end());
-  result.unfused_ms = un_ms[un_ms.size() / 2];
-  result.fused_ms = fu_ms[fu_ms.size() / 2];
-  return result;
-}
-
-PassPipelineRows BenchPassPipeline() {
+/// Widths shrink layer over layer, so first-fit over live intervals
+/// overlaps the wide early activations with the narrow late ones.
+FunnelRow BenchFunnel() {
   Rng rng(56);
-  PassPipelineRows rows;
-  const int iters = g_smoke ? 3 : 10;
-  const char* prior = std::getenv("DLSYS_PASSES");
-  const std::string saved = prior != nullptr ? prior : "";
-  const auto set_passes = [](const char* v) { setenv("DLSYS_PASSES", v, 1); };
-
-  // Dense + relu at the E31 GEMM shape (64 x 768 x 768): the fusion pass
-  // folds the bias add and relu into the GEMM epilogue, dropping two full
-  // read-modify-write passes over the 64x768 output.
-  {
-    const int64_t batch = g_smoke ? 8 : 64;
-    const int64_t k = g_smoke ? 64 : 768, n = g_smoke ? 32 : 768;
-    Sequential net;
-    net.Emplace<Dense>(k, n);
-    net.Emplace<ReLU>();
-    net.Init(&rng);
-    Tensor x({batch, k});
-    x.FillGaussian(&rng, 1.0f);
-    const FusedPairMs pair =
-        TimeFusedPair(net, {k}, batch, x, iters, g_smoke ? 2 : 13);
-    rows.dense_relu_unfused_ms = pair.unfused_ms;
-    rows.dense_relu_fused_ms = pair.fused_ms;
-    rows.fp32_bitwise_equal = pair.bitwise_equal;
-  }
-
-  // Conv + bias + relu: same rewrite on the im2col GEMM's column kernel.
-  {
-    const int64_t img = g_smoke ? 8 : 24;
-    Sequential net = MakeCnn(img, g_smoke ? 3 : 12, g_smoke ? 4 : 16, 10);
-    net.Init(&rng);
-    const int64_t batch = g_smoke ? 2 : 8;
-    Tensor x({batch, 1, img, img});
-    x.FillGaussian(&rng, 1.0f);
-    const FusedPairMs pair = TimeFusedPair(net, {1, img, img}, batch, x,
-                                           iters, g_smoke ? 2 : 13);
-    rows.conv_relu_unfused_ms = pair.unfused_ms;
-    rows.conv_relu_fused_ms = pair.fused_ms;
-    rows.fp32_bitwise_equal =
-        rows.fp32_bitwise_equal && pair.bitwise_equal;
-  }
-
-  // Quantized dense chain: folding moves the per-call weight transpose +
-  // block-quantize to compile time; fusion + quant elimination then hand
-  // q8 codes across the boundary instead of dequantizing and requantizing.
-  {
-    const int64_t batch = g_smoke ? 8 : 64;
-    const int64_t f = g_smoke ? 64 : 768;
-    Sequential net = MakeMlp(f, {f}, f);  // dense, relu, dense
-    net.Init(&rng);
-    Tensor x({batch, f});
-    x.FillGaussian(&rng, 1.0f);
-    EngineConfig config;
-    config.max_batch = batch;
-    config.numeric = EngineNumeric::kInt8;
-    const char* specs[] = {"none", "fuse,quant_elim", "fold", "all"};
-    std::vector<InferenceEngine> engines;
-    for (const char* spec : specs) {
-      set_passes(spec);
-      auto compiled = InferenceEngine::Compile(net, {f}, config);
-      DLSYS_CHECK(compiled.ok(), "pass-pipeline int8 compile failed");
-      engines.push_back(std::move(compiled).value());
-    }
-    Tensor out({batch, f});
-    std::vector<std::function<void()>> fns;
-    for (InferenceEngine& engine : engines) {
-      fns.push_back([&engine, &x, &out, batch] {
-        DLSYS_CHECK(engine.PredictInto(x.data(), batch, out.data()).ok(),
-                    "predict");
-        g_sink = out[0];
-      });
-    }
-    const std::vector<double> ms = InterleavedMedianMs(iters, fns);
-    rows.int8_none_ms = ms[0];
-    rows.int8_fuse_qe_ms = ms[1];
-    rows.int8_fold_ms = ms[2];
-    rows.int8_all_ms = ms[3];
-  }
-
-  // Liveness packing on a funnel MLP: widths shrink layer over layer, so
-  // first-fit over live intervals overlaps the wide early activations
-  // with the narrow late ones; the ping-pong plan charges 2x the widest.
-  {
-    Sequential net = g_smoke
-                         ? MakeMlp(256, {128, 64, 32}, 10)
-                         : MakeMlp(3072, {1536, 768, 384, 192, 96}, 10);
-    net.Init(&rng);
-    set_passes("all");
-    auto compiled = InferenceEngine::Compile(
-        net, {g_smoke ? 256 : 3072}, EngineConfig{g_smoke ? 8 : 64});
-    DLSYS_CHECK(compiled.ok(), "pass-pipeline funnel compile failed");
-    const InferenceEngine engine = std::move(compiled).value();
-    rows.funnel_packed_bytes = engine.workspace_bytes();
-    rows.funnel_unpacked_bytes = engine.unpacked_workspace_bytes();
-    rows.nodes_fused = engine.graph_node_count();
-    set_passes("none");
-    auto unfused = InferenceEngine::Compile(
-        net, {g_smoke ? 256 : 3072}, EngineConfig{g_smoke ? 8 : 64});
-    DLSYS_CHECK(unfused.ok(), "pass-pipeline funnel compile failed");
-    rows.nodes_unfused = std::move(unfused).value().graph_node_count();
-  }
-
-  if (prior != nullptr) {
-    setenv("DLSYS_PASSES", saved.c_str(), 1);
-  } else {
-    unsetenv("DLSYS_PASSES");
-  }
-  DLSYS_CHECK(rows.fp32_bitwise_equal,
-              "pass pipeline changed fp32 bits: fused output must be "
-              "bitwise identical to the unfused schedule");
-  return rows;
+  Sequential net = g_smoke ? MakeMlp(256, {128, 64, 32}, 10)
+                           : MakeMlp(3072, {1536, 768, 384, 192, 96}, 10);
+  net.Init(&rng);
+  auto compiled = InferenceEngine::Compile(
+      net, {g_smoke ? 256 : 3072}, EngineConfig{g_smoke ? 8 : 64});
+  DLSYS_CHECK(compiled.ok(), "funnel compile failed");
+  const InferenceEngine engine = std::move(compiled).value();
+  FunnelRow row;
+  row.graph_nodes = engine.graph_node_count();
+  row.workspace_bytes = engine.workspace_bytes();
+  return row;
 }
 
 }  // namespace
@@ -555,9 +389,11 @@ int main(int argc, char** argv) {
       static_cast<long long>(steady.forward_allocs_per_call),
       steady.forward_batch1_ms);
 
-  const ConvAlgoRow conv = BenchConvAlgo();
-  std::printf("conv          im2col %.4f ms | direct %.4f ms | %.2fx\n",
-              conv.im2col_ms, conv.direct_ms, conv.direct_ms / conv.im2col_ms);
+  const ConvRow conv = BenchConv();
+  std::printf(
+      "conv          engine im2col %.4f ms | training forward %.4f ms | "
+      "%.2fx\n",
+      conv.im2col_ms, conv.forward_ms, conv.forward_ms / conv.im2col_ms);
 
   const GemmRow gemm = BenchInt8Gemm();
   std::printf(
@@ -568,30 +404,10 @@ int main(int argc, char** argv) {
       gemm.fp32_ms / gemm.int8_ms, gemm.int8_full_ms,
       gemm.fp32_ms / gemm.int8_full_ms);
 
-  const PassPipelineRows passes = BenchPassPipeline();
-  std::printf(
-      "passes dense  unfused %.4f ms | fused %.4f ms (%.2fx) | bitwise "
-      "equal %s\n",
-      passes.dense_relu_unfused_ms, passes.dense_relu_fused_ms,
-      passes.dense_relu_unfused_ms / passes.dense_relu_fused_ms,
-      passes.fp32_bitwise_equal ? "yes" : "NO");
-  std::printf("passes conv   unfused %.4f ms | fused %.4f ms (%.2fx)\n",
-              passes.conv_relu_unfused_ms, passes.conv_relu_fused_ms,
-              passes.conv_relu_unfused_ms / passes.conv_relu_fused_ms);
-  std::printf(
-      "passes int8   none %.4f ms | fuse+qelim %.4f ms | fold %.4f ms | "
-      "all %.4f ms (%.2fx)\n",
-      passes.int8_none_ms, passes.int8_fuse_qe_ms, passes.int8_fold_ms,
-      passes.int8_all_ms, passes.int8_none_ms / passes.int8_all_ms);
-  std::printf(
-      "passes arena  funnel graph %lld -> %lld nodes | workspace %lld -> "
-      "%lld bytes (%.2fx)\n",
-      static_cast<long long>(passes.nodes_unfused),
-      static_cast<long long>(passes.nodes_fused),
-      static_cast<long long>(passes.funnel_unpacked_bytes),
-      static_cast<long long>(passes.funnel_packed_bytes),
-      static_cast<double>(passes.funnel_unpacked_bytes) /
-          static_cast<double>(passes.funnel_packed_bytes));
+  const FunnelRow funnel = BenchFunnel();
+  std::printf("funnel        graph %lld nodes | packed workspace %lld bytes\n",
+              static_cast<long long>(funnel.graph_nodes),
+              static_cast<long long>(funnel.workspace_bytes));
 
   const std::vector<FrontierRow> frontier = BenchFrontier();
   for (const FrontierRow& row : frontier) {
@@ -614,44 +430,27 @@ int main(int argc, char** argv) {
                "\"forward_allocs_per_call\": %lld,\n"
                "                   \"engine_batch1_ms\": %.4f, "
                "\"forward_batch1_ms\": %.4f},\n"
-               "  \"conv\": {\"im2col_ms\": %.4f, \"direct_ms\": %.4f, "
+               "  \"conv\": {\"im2col_ms\": %.4f, \"forward_ms\": %.4f, "
                "\"speedup\": %.2f},\n"
                "  \"int8_gemm\": {\"m\": %lld, \"k\": %lld, \"n\": %lld, "
                "\"fp32_ms\": %.4f,\n"
                "                \"int8_ms\": %.4f, \"int8_full_ms\": %.4f, "
                "\"speedup_raw\": %.2f, \"speedup_full\": %.2f},\n"
-               "  \"pass_pipeline\": {\"dense_relu_unfused_ms\": %.4f, "
-               "\"dense_relu_fused_ms\": %.4f,\n"
-               "                    \"conv_relu_unfused_ms\": %.4f, "
-               "\"conv_relu_fused_ms\": %.4f,\n"
-               "                    \"int8_none_ms\": %.4f, "
-               "\"int8_fuse_qe_ms\": %.4f, \"int8_fold_ms\": %.4f, "
-               "\"int8_all_ms\": %.4f,\n"
-               "                    \"funnel_nodes_unfused\": %lld, "
-               "\"funnel_nodes_fused\": %lld,\n"
-               "                    \"funnel_unpacked_bytes\": %lld, "
-               "\"funnel_packed_bytes\": %lld, "
-               "\"fp32_bitwise_equal\": %s},\n"
+               "  \"pass_pipeline\": {\"funnel_nodes_fused\": %lld, "
+               "\"funnel_packed_bytes\": %lld},\n"
                "  \"microbatch\": [\n",
                g_smoke ? "true" : "false",
                static_cast<long long>(steady.engine_allocs_per_call),
                static_cast<long long>(steady.forward_allocs_per_call),
                steady.engine_batch1_ms, steady.forward_batch1_ms,
-               conv.im2col_ms, conv.direct_ms,
-               conv.direct_ms / conv.im2col_ms,
+               conv.im2col_ms, conv.forward_ms,
+               conv.forward_ms / conv.im2col_ms,
                static_cast<long long>(gemm.m), static_cast<long long>(gemm.k),
                static_cast<long long>(gemm.n), gemm.fp32_ms, gemm.int8_ms,
                gemm.int8_full_ms, gemm.fp32_ms / gemm.int8_ms,
                gemm.fp32_ms / gemm.int8_full_ms,
-               passes.dense_relu_unfused_ms, passes.dense_relu_fused_ms,
-               passes.conv_relu_unfused_ms, passes.conv_relu_fused_ms,
-               passes.int8_none_ms, passes.int8_fuse_qe_ms,
-               passes.int8_fold_ms, passes.int8_all_ms,
-               static_cast<long long>(passes.nodes_unfused),
-               static_cast<long long>(passes.nodes_fused),
-               static_cast<long long>(passes.funnel_unpacked_bytes),
-               static_cast<long long>(passes.funnel_packed_bytes),
-               passes.fp32_bitwise_equal ? "true" : "false");
+               static_cast<long long>(funnel.graph_nodes),
+               static_cast<long long>(funnel.workspace_bytes));
   for (size_t i = 0; i < frontier.size(); ++i) {
     const FrontierRow& row = frontier[i];
     std::fprintf(out,

@@ -156,8 +156,7 @@ Q4BlockMatrix Q4BlockQuantizeRows(const Tensor& t);
 /// \brief Allocation-free q4 block quantization into caller storage
 /// (\p values: rows * PadToQuantBlock(cols)/2 bytes, \p scales: rows *
 /// PadToQuantBlock(cols)/kQuantBlock floats). Pad elements encode q = 0.
-/// Row-parallel; the engine's unfolded int4 path re-derives weight codes
-/// with this inside the zero-allocation hot loop.
+/// Row-parallel; Q4BlockQuantizeRows() is this plus the allocation.
 void Q4BlockQuantizeRowsInto(const float* x, int64_t rows, int64_t cols,
                              uint8_t* values, float* scales);
 

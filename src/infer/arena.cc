@@ -47,21 +47,6 @@ void TensorArena::FreeStorage() {
   }
 }
 
-TensorArena::BufferId TensorArena::Reserve(int64_t count, int64_t elem_bytes,
-                                           ElemType type) {
-  DLSYS_CHECK(!committed(),
-              "TensorArena::Reserve after Commit — the plan is frozen; "
-              "inference-time buffer growth is a planning bug");
-  DLSYS_CHECK(count >= 0, "TensorArena::Reserve negative count");
-  Slot slot;
-  slot.offset = total_bytes_;
-  slot.count = count;
-  slot.type = type;
-  slots_.push_back(slot);
-  total_bytes_ += AlignUp(count * elem_bytes);
-  return static_cast<BufferId>(slots_.size()) - 1;
-}
-
 TensorArena::BufferId TensorArena::Place(int64_t offset_bytes, int64_t count,
                                          int64_t elem_bytes, ElemType type,
                                          int live_begin, int live_end) {
@@ -76,13 +61,12 @@ TensorArena::BufferId TensorArena::Place(int64_t offset_bytes, int64_t count,
   Slot slot;
   slot.offset = offset_bytes;
   slot.count = count;
+  slot.bytes = AlignUp(count * elem_bytes);
   slot.type = type;
-  slot.placed = true;
   slot.live_begin = live_begin;
   slot.live_end = live_end;
   slots_.push_back(slot);
-  total_bytes_ = std::max(total_bytes_,
-                          offset_bytes + AlignUp(count * elem_bytes));
+  total_bytes_ = std::max(total_bytes_, offset_bytes + slot.bytes);
   return static_cast<BufferId>(slots_.size()) - 1;
 }
 
@@ -100,49 +84,18 @@ TensorArena::BufferId TensorArena::PlaceInt8s(int64_t offset_bytes,
                live_end);
 }
 
-TensorArena::BufferId TensorArena::ReserveFloats(int64_t count) {
-  return Reserve(count, static_cast<int64_t>(sizeof(float)),
-                 ElemType::kFloat);
-}
-
-TensorArena::BufferId TensorArena::ReserveInt8s(int64_t count) {
-  return Reserve(count, 1, ElemType::kInt8);
-}
-
-TensorArena::BufferId TensorArena::ReserveInt32s(int64_t count) {
-  return Reserve(count, static_cast<int64_t>(sizeof(int32_t)),
-                 ElemType::kInt32);
-}
-
 void TensorArena::Commit() {
   DLSYS_CHECK(!committed(), "TensorArena::Commit called twice");
-  // Liveness cross-check for packed layouts: two placed buffers whose
-  // live intervals overlap must occupy disjoint byte ranges. O(slots^2),
-  // run once at plan time.
-  auto elem_bytes = [](ElemType type) -> int64_t {
-    switch (type) {
-      case ElemType::kInt8:
-        return 1;
-      case ElemType::kInt32:
-        return static_cast<int64_t>(sizeof(int32_t));
-      case ElemType::kFloat:
-        break;
-    }
-    return static_cast<int64_t>(sizeof(float));
-  };
+  // Liveness cross-check: two buffers whose live intervals overlap must
+  // occupy disjoint byte ranges. O(slots^2), run once at plan time.
   for (size_t a = 0; a < slots_.size(); ++a) {
-    if (!slots_[a].placed) continue;
-    const int64_t a_end =
-        slots_[a].offset + AlignUp(slots_[a].count * elem_bytes(slots_[a].type));
+    const int64_t a_end = slots_[a].offset + slots_[a].bytes;
     for (size_t b = a + 1; b < slots_.size(); ++b) {
-      if (!slots_[b].placed) continue;
       const bool lifetimes_overlap =
           slots_[a].live_begin <= slots_[b].live_end &&
           slots_[b].live_begin <= slots_[a].live_end;
       if (!lifetimes_overlap) continue;
-      const int64_t b_end =
-          slots_[b].offset +
-          AlignUp(slots_[b].count * elem_bytes(slots_[b].type));
+      const int64_t b_end = slots_[b].offset + slots_[b].bytes;
       DLSYS_CHECK(
           a_end <= slots_[b].offset || b_end <= slots_[a].offset,
           "TensorArena::Commit: overlapping-lifetime buffers assigned to "
@@ -172,10 +125,6 @@ float* TensorArena::Floats(BufferId id) const {
 
 int8_t* TensorArena::Int8s(BufferId id) const {
   return static_cast<int8_t*>(Resolve(id, ElemType::kInt8));
-}
-
-int32_t* TensorArena::Int32s(BufferId id) const {
-  return static_cast<int32_t*>(Resolve(id, ElemType::kInt32));
 }
 
 int64_t TensorArena::ElementCount(BufferId id) const {

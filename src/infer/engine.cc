@@ -26,14 +26,6 @@ using infer::OpNode;
 
 constexpr int64_t kEwGrain = 1 << 15;  ///< elementwise elements per range
 
-/// Must match TensorArena's slot alignment (src/infer/arena.cc): the
-/// unpacked-size accounting below mirrors what Reserve would commit.
-constexpr int64_t kArenaAlign = 64;
-
-int64_t AlignUp(int64_t v) {
-  return (v + kArenaAlign - 1) / kArenaAlign * kArenaAlign;
-}
-
 bool IsQuantDense(OpKind kind) {
   return kind == OpKind::kDenseInt8 || kind == OpKind::kDenseInt4;
 }
@@ -56,13 +48,12 @@ Result<InferenceEngine> InferenceEngine::Compile(const Sequential& net,
 
   InferenceEngine eng;
   eng.config_ = config;
-  eng.passes_ = infer::ResolvePassConfig(config.passes);
 
   DLSYS_TRACE_SPAN("engine.compile", "compile");
   auto lowered = OpGraph::Lower(net, example_shape, config.numeric);
   if (!lowered.ok()) return lowered.status();
   eng.graph_ = std::move(lowered).value();
-  eng.stats_ = infer::RunPasses(&eng.graph_, eng.passes_);
+  eng.stats_ = infer::RunPasses(&eng.graph_);
   eng.PlanAndEmit();
 
   DLSYS_GAUGE_SET("infer.workspace_bytes", eng.arena_.total_bytes());
@@ -89,29 +80,20 @@ void InferenceEngine::PlanAndEmit() {
   }
   const int num_steps = static_cast<int>(order.size());
 
-  // ---- activation alias groups + ping-pong slots ----------------------
+  // ---- activation alias groups ----------------------------------------
   //
   // In-place (elementwise) nodes write into their input's storage, so
-  // their input and output tensors share one buffer: an alias group. The
-  // group is also what carries a ping-pong slot (0/1) for the pack-off
-  // layout, and a live interval [first def, last use] for the packed one.
+  // their input and output tensors share one buffer: an alias group,
+  // which carries one live interval [first def, last use].
   const size_t num_tensors = g.tensors.size();
   std::vector<int> group(num_tensors, -1);
-  std::vector<int> slot(num_tensors, -1);
   int num_groups = 0;
   group[static_cast<size_t>(g.input)] = num_groups++;
-  slot[static_cast<size_t>(g.input)] = 0;
   for (const int ni : order) {
     const OpNode& node = g.nodes[static_cast<size_t>(ni)];
     const size_t tin = static_cast<size_t>(node.input);
     const size_t tout = static_cast<size_t>(node.output);
-    if (node.in_place) {
-      group[tout] = group[tin];
-      slot[tout] = slot[tin];
-    } else {
-      group[tout] = num_groups++;
-      slot[tout] = 1 - slot[tin];
-    }
+    group[tout] = node.in_place ? group[tin] : num_groups++;
   }
 
   std::vector<int64_t> group_elems(static_cast<size_t>(num_groups), 0);
@@ -139,18 +121,15 @@ void InferenceEngine::PlanAndEmit() {
 
   // ---- steps + scratch requests ---------------------------------------
   //
-  // Scratch buffers (im2col patches, activation codes, fold-off weight
-  // prep) are requested with live intervals; how they are satisfied
-  // depends on the pack pass. Fields name the Step member to bind.
+  // Scratch buffers (im2col patches, activation codes) are requested
+  // with live intervals and packed next to the activations. Fields name
+  // the Step member to bind.
   enum ScratchField {
     kIm2col,
     kQinVals,
     kQinScales,
     kQoutVals,
     kQoutScales,
-    kWt,
-    kWVals,
-    kWScales,
   };
   struct ScratchReq {
     size_t step;
@@ -170,7 +149,7 @@ void InferenceEngine::PlanAndEmit() {
     Step step;
     step.node = ni;
 
-    if (node.kind == OpKind::kConv && config_.conv_algo == ConvAlgo::kIm2col) {
+    if (node.kind == OpKind::kConv) {
       const int64_t patch =
           node.ho * node.wo * node.in_ch * node.kernel * node.kernel;
       scratch.push_back(
@@ -194,20 +173,6 @@ void InferenceEngine::PlanAndEmit() {
                            kp_out * kMaxB, p, cpos});
         scratch.push_back({static_cast<size_t>(p), kQoutScales, true,
                            (kp_out / kQuantBlock) * kMaxB, p, cpos});
-      }
-      if (!node.folded) {
-        // Constant folding off: the step re-derives transposed block
-        // codes from the fp32 weight on every call, allocation-free.
-        scratch.push_back({static_cast<size_t>(p), kWt, true,
-                           node.in_elems * node.out_elems, p, p});
-        const int64_t code_bytes =
-            node.kind == OpKind::kDenseInt8
-                ? node.out_elems * kp_in
-                : node.out_elems * (kp_in / 2);  // nibble-packed q4
-        scratch.push_back({static_cast<size_t>(p), kWVals, false, code_bytes,
-                           p, p});
-        scratch.push_back({static_cast<size_t>(p), kWScales, true,
-                           node.out_elems * (kp_in / kQuantBlock), p, p});
       }
     }
 
@@ -267,34 +232,6 @@ void InferenceEngine::PlanAndEmit() {
     steps_.push_back(step);
   }
 
-  // ---- shared (ping-pong) sizing --------------------------------------
-  //
-  // The pack-off layout of this exact schedule: two max-sized activation
-  // buffers plus one shared buffer per scratch family. Computed always so
-  // unpacked_workspace_bytes() reports the before/after pair.
-  int64_t max_act = in_elems_;
-  for (int gi = 0; gi < num_groups; ++gi) {
-    max_act = std::max(max_act, group_elems[static_cast<size_t>(gi)]);
-  }
-  int64_t shared_max[8] = {0, 0, 0, 0, 0, 0, 0, 0};
-  for (const ScratchReq& req : scratch) {
-    // qout shares the activation-code buffer with qin in the ping-pong
-    // layout (the ParallelFor barrier between a GEMM and its epilogue
-    // makes the overwrite safe).
-    const int fam = req.field == kQoutVals     ? kQinVals
-                    : req.field == kQoutScales ? kQinScales
-                                               : req.field;
-    shared_max[fam] = std::max(shared_max[fam], req.count);
-  }
-  unpacked_bytes_ = 2 * AlignUp(4 * max_act * kMaxB);
-  for (int fam = 0; fam < 8; ++fam) {
-    if (shared_max[fam] == 0) continue;
-    const bool floats = fam == kIm2col || fam == kQinScales ||
-                        fam == kQoutScales || fam == kWt || fam == kWScales;
-    unpacked_bytes_ += AlignUp(shared_max[fam] * (floats ? 4 : 1));
-  }
-  unpacked_bytes_ = std::max<int64_t>(unpacked_bytes_, kArenaAlign);
-
   auto bind = [&](Step* step, ScratchField field, TensorArena::BufferId id) {
     switch (field) {
       case kIm2col:
@@ -311,24 +248,17 @@ void InferenceEngine::PlanAndEmit() {
         return;
       case kQoutScales:
         step->qout_scales = id;
-        return;
-      case kWt:
-        step->wt = id;
-        return;
-      case kWVals:
-        step->wvals = id;
-        return;
-      case kWScales:
-        step->wscales = id;
     }
   };
 
+  // ---- liveness-packed layout -----------------------------------------
+  //
+  // First-fit offsets over per-buffer live intervals; disjoint lifetimes
+  // share bytes. Commit() cross-checks every placed pair, so a packer bug
+  // aborts at plan time.
   std::vector<TensorArena::BufferId> group_buf(
       static_cast<size_t>(num_groups), -1);
-  if (passes_.pack) {
-    // Liveness-packed layout: first-fit offsets over per-buffer live
-    // intervals; disjoint lifetimes share bytes. Commit() cross-checks
-    // every placed pair, so a packer bug aborts at plan time.
+  {
     DLSYS_TRACE_SPAN("infer.pass.pack", "compile");
     std::vector<LiveBuffer> buffers;
     buffers.reserve(static_cast<size_t>(num_groups) + scratch.size());
@@ -343,10 +273,9 @@ void InferenceEngine::PlanAndEmit() {
                                    req.begin, req.end});
     }
     std::vector<int64_t> offsets;
-    const int64_t packed_bytes = infer::PackLiveRanges(buffers, &offsets);
+    infer::PackLiveRanges(buffers, &offsets);
     DLSYS_COUNTER_ADD("infer.pass.pack.buffers",
                       static_cast<int64_t>(buffers.size()));
-    (void)packed_bytes;  // the arena recomputes the same total from places
     for (int gi = 0; gi < num_groups; ++gi) {
       group_buf[static_cast<size_t>(gi)] = arena_.PlaceFloats(
           offsets[static_cast<size_t>(gi)],
@@ -363,35 +292,10 @@ void InferenceEngine::PlanAndEmit() {
               : arena_.PlaceInt8s(off, req.count, req.begin, req.end);
       bind(&steps_[req.step], req.field, id);
     }
-  } else {
-    // Ping-pong layout: the pre-pass-pipeline plan. Non-in-place steps
-    // flip between two max-sized activation buffers; scratch families
-    // share one max-sized buffer each.
-    const TensorArena::BufferId act0 = arena_.ReserveFloats(max_act * kMaxB);
-    const TensorArena::BufferId act1 = arena_.ReserveFloats(max_act * kMaxB);
-    for (size_t t = 0; t < num_tensors; ++t) {
-      if (group[t] < 0) continue;
-      group_buf[static_cast<size_t>(group[t])] = slot[t] == 0 ? act0 : act1;
-    }
-    TensorArena::BufferId shared[8] = {-1, -1, -1, -1, -1, -1, -1, -1};
-    for (int fam = 0; fam < 8; ++fam) {
-      if (shared_max[fam] == 0) continue;
-      const bool floats = fam == kIm2col || fam == kQinScales ||
-                          fam == kQoutScales || fam == kWt || fam == kWScales;
-      shared[fam] = floats ? arena_.ReserveFloats(shared_max[fam])
-                           : arena_.ReserveInt8s(shared_max[fam]);
-    }
-    for (const ScratchReq& req : scratch) {
-      const int fam = req.field == kQoutVals     ? kQinVals
-                      : req.field == kQoutScales ? kQinScales
-                                                 : req.field;
-      bind(&steps_[req.step], req.field, shared[fam]);
-    }
   }
 
   // Bind activation buffers, then wire quant_in steps to their producer's
-  // qout codes (identical ids in the ping-pong layout; distinct placed
-  // buffers in the packed one).
+  // qout codes.
   for (size_t s = 0; s < steps_.size(); ++s) {
     const OpNode& node = g.nodes[static_cast<size_t>(steps_[s].node)];
     steps_[s].in =
@@ -471,62 +375,19 @@ void InferenceEngine::RunStep(const Step& step, int64_t batch) const {
   switch (node.kind) {
     case OpKind::kDense: {
       const int64_t in_f = node.in_elems, out_f = node.out_elems;
-      const float* pb = node.bias.data();
-      if (node.epilogue_fused) {
-        // Fusion pass on: bias (+ absorbed relu) runs in the GEMM range
-        // kernel's epilogue — same float ops, fewer output passes.
-        MatMulBiasActInto(in, node.weight.data(), pb, out, batch, in_f,
-                          out_f, node.relu_fused);
-        return;
-      }
-      MatMulInto(in, node.weight.data(), out, batch, in_f, out_f);
-      ParallelFor(0, batch, 8, [=](int64_t r0, int64_t r1) {
-        for (int64_t i = r0; i < r1; ++i) {
-          float* row = out + i * out_f;
-          for (int64_t j = 0; j < out_f; ++j) row[j] += pb[j];
-        }
-      });
+      // Bias (+ absorbed relu) runs in the GEMM range kernel's epilogue.
+      MatMulBiasActInto(in, node.weight.data(), node.bias.data(), out, batch,
+                        in_f, out_f, node.relu_fused);
       return;
     }
     case OpKind::kDenseInt8:
     case OpKind::kDenseInt4: {
       const int64_t in_f = node.in_elems, out_f = node.out_elems;
       const int64_t kp = PadToQuantBlock(in_f);
-      // Weight codes: folded at compile time, or re-derived here from the
-      // fp32 weight (transpose + block-quantize into arena scratch —
-      // identical codes, recomputed every call).
-      const int8_t* wv8 = nullptr;
-      const uint8_t* wv4 = nullptr;
-      const float* ws = nullptr;
-      if (node.folded) {
-        if (node.kind == OpKind::kDenseInt8) {
-          wv8 = node.qweight8.values.data();
-          ws = node.qweight8.scales.data();
-        } else {
-          wv4 = node.qweight4.values.data();
-          ws = node.qweight4.scales.data();
-        }
-      } else {
-        const float* w = node.weight.data();
-        float* wt = arena_.Floats(step.wt);
-        ParallelFor(0, out_f, 8, [=](int64_t o0, int64_t o1) {
-          for (int64_t o = o0; o < o1; ++o) {
-            float* trow = wt + o * in_f;
-            for (int64_t i = 0; i < in_f; ++i) trow[i] = w[i * out_f + o];
-          }
-        });
-        float* wscales = arena_.Floats(step.wscales);
-        if (node.kind == OpKind::kDenseInt8) {
-          int8_t* wvals = arena_.Int8s(step.wvals);
-          Q8BlockQuantizeRowsInto(wt, out_f, in_f, wvals, wscales);
-          wv8 = wvals;
-        } else {
-          uint8_t* wvals = reinterpret_cast<uint8_t*>(arena_.Int8s(step.wvals));
-          Q4BlockQuantizeRowsInto(wt, out_f, in_f, wvals, wscales);
-          wv4 = wvals;
-        }
-        ws = wscales;
-      }
+      // Weight codes were folded at compile time.
+      const float* ws = node.kind == OpKind::kDenseInt8
+                            ? node.qweight8.scales.data()
+                            : node.qweight4.scales.data();
       // Input codes: the quant-elimination pass hands the producer's q8
       // codes straight through; otherwise quantize the fp32 batch here.
       const int8_t* qv;
@@ -542,14 +403,14 @@ void InferenceEngine::RunStep(const Step& step, int64_t batch) const {
         qs = qs_mut;
       }
       if (node.kind == OpKind::kDenseInt8) {
-        Q8BlockGemmTransBInto(qv, qs, wv8, ws, out, batch, kp, out_f);
+        Q8BlockGemmTransBInto(qv, qs, node.qweight8.values.data(), ws, out,
+                              batch, kp, out_f);
       } else {
-        Q4BlockGemmTransBInto(qv, qs, wv4, ws, out, batch, kp, out_f);
+        Q4BlockGemmTransBInto(qv, qs, node.qweight4.values.data(), ws, out,
+                              batch, kp, out_f);
       }
       // Epilogue: bias, absorbed relu, and (under quant elimination) the
-      // row quantization the consumer would otherwise redo. The GEMM's
-      // ParallelFor join above guarantees the input codes are fully
-      // consumed before a shared code buffer is overwritten.
+      // row quantization the consumer would otherwise redo.
       const float* pb = node.bias.data();
       const bool relu = node.relu_fused;
       int8_t* oqv =
@@ -557,36 +418,19 @@ void InferenceEngine::RunStep(const Step& step, int64_t batch) const {
       float* oqs =
           node.quant_out ? arena_.Floats(step.qout_scales) : nullptr;
       const int64_t kp_out = PadToQuantBlock(out_f);
-      if (node.epilogue_fused) {
-        ParallelFor(0, batch, 8, [=](int64_t r0, int64_t r1) {
-          for (int64_t i = r0; i < r1; ++i) {
-            float* row = out + i * out_f;
-            for (int64_t j = 0; j < out_f; ++j) {
-              const float v = row[j] + pb[j];
-              row[j] = relu ? (v > 0.0f ? v : 0.0f) : v;
-            }
-            if (oqv != nullptr) {
-              Q8BlockQuantizeRowInto(row, out_f, oqv + i * kp_out,
-                                     oqs + i * (kp_out / kQuantBlock));
-            }
-          }
-        });
-        return;
-      }
       ParallelFor(0, batch, 8, [=](int64_t r0, int64_t r1) {
         for (int64_t i = r0; i < r1; ++i) {
           float* row = out + i * out_f;
-          for (int64_t j = 0; j < out_f; ++j) row[j] += pb[j];
-        }
-      });
-      if (oqv != nullptr) {
-        ParallelFor(0, batch, 8, [=](int64_t r0, int64_t r1) {
-          for (int64_t i = r0; i < r1; ++i) {
-            Q8BlockQuantizeRowInto(out + i * out_f, out_f, oqv + i * kp_out,
+          for (int64_t j = 0; j < out_f; ++j) {
+            const float v = row[j] + pb[j];
+            row[j] = relu ? (v > 0.0f ? v : 0.0f) : v;
+          }
+          if (oqv != nullptr) {
+            Q8BlockQuantizeRowInto(row, out_f, oqv + i * kp_out,
                                    oqs + i * (kp_out / kQuantBlock));
           }
-        });
-      }
+        }
+      });
       return;
     }
     case OpKind::kRelu: {
@@ -621,31 +465,13 @@ void InferenceEngine::RunStep(const Step& step, int64_t batch) const {
       const float* gamma = node.bn_gamma.data();
       const float* bt = node.bn_beta.data();
       const float* mu = node.bn_mean.data();
-      if (node.folded) {
-        const float* inv = node.bn_inv.data();
-        ParallelFor(0, batch, 8, [=](int64_t r0, int64_t r1) {
-          for (int64_t i = r0; i < r1; ++i) {
-            const float* xrow = in + i * f;
-            float* yrow = out + i * f;
-            for (int64_t j = 0; j < f; ++j) {
-              yrow[j] = gamma[j] * (xrow[j] - mu[j]) * inv[j] + bt[j];
-            }
-          }
-        });
-        return;
-      }
-      // Folding off: recompute 1/sqrt(var+eps) per element — the exact
-      // float the folded path precomputed, so results are identical.
-      const float* var = node.bn_var.data();
-      const float eps = node.bn_eps;
+      const float* inv = node.bn_inv.data();
       ParallelFor(0, batch, 8, [=](int64_t r0, int64_t r1) {
         for (int64_t i = r0; i < r1; ++i) {
           const float* xrow = in + i * f;
           float* yrow = out + i * f;
           for (int64_t j = 0; j < f; ++j) {
-            yrow[j] = gamma[j] * (xrow[j] - mu[j]) *
-                          (1.0f / std::sqrt(var[j] + eps)) +
-                      bt[j];
+            yrow[j] = gamma[j] * (xrow[j] - mu[j]) * inv[j] + bt[j];
           }
         }
       });
@@ -683,77 +509,39 @@ void InferenceEngine::RunStep(const Step& step, int64_t batch) const {
       const float* pw = node.weight.data();
       const float* pb = node.bias.data();
       const bool relu = node.relu_fused;
-      if (config_.conv_algo == ConvAlgo::kIm2col) {
-        const int64_t kk = ic * kernel * kernel;  // patch width
-        const int64_t positions = ho * wo;
-        float* patches = arena_.Floats(step.im2col);
-        for (int64_t img = 0; img < batch; ++img) {
-          const float* xin = in + img * ic * h * w;
-          // Patch layout: row = output position, columns in (ic, ky, kx)
-          // order — the direct nest's term order — with out-of-image taps
-          // zero-filled.
-          ParallelFor(0, positions, 16, [=](int64_t p0, int64_t p1) {
-            for (int64_t pos = p0; pos < p1; ++pos) {
-              const int64_t oy = pos / wo, ox = pos % wo;
-              const int64_t iy0 = oy * stride - pad;
-              const int64_t ix0 = ox * stride - pad;
-              float* prow = patches + pos * kk;
-              int64_t q = 0;
-              for (int64_t cc = 0; cc < ic; ++cc) {
-                const float* xplane = xin + cc * h * w;
-                for (int64_t ky = 0; ky < kernel; ++ky) {
-                  const int64_t iy = iy0 + ky;
-                  for (int64_t kx = 0; kx < kernel; ++kx, ++q) {
-                    const int64_t ix = ix0 + kx;
-                    prow[q] = (iy >= 0 && iy < h && ix >= 0 && ix < w)
-                                  ? xplane[iy * w + ix]
-                                  : 0.0f;
-                  }
+      const int64_t kk = ic * kernel * kernel;  // patch width
+      const int64_t positions = ho * wo;
+      float* patches = arena_.Floats(step.im2col);
+      for (int64_t img = 0; img < batch; ++img) {
+        const float* xin = in + img * ic * h * w;
+        // Patch layout: row = output position, columns in (ic, ky, kx)
+        // order — the training forward's term order — with out-of-image
+        // taps zero-filled.
+        ParallelFor(0, positions, 16, [=](int64_t p0, int64_t p1) {
+          for (int64_t pos = p0; pos < p1; ++pos) {
+            const int64_t oy = pos / wo, ox = pos % wo;
+            const int64_t iy0 = oy * stride - pad;
+            const int64_t ix0 = ox * stride - pad;
+            float* prow = patches + pos * kk;
+            int64_t q = 0;
+            for (int64_t cc = 0; cc < ic; ++cc) {
+              const float* xplane = xin + cc * h * w;
+              for (int64_t ky = 0; ky < kernel; ++ky) {
+                const int64_t iy = iy0 + ky;
+                for (int64_t kx = 0; kx < kernel; ++kx, ++q) {
+                  const int64_t ix = ix0 + kx;
+                  prow[q] = (iy >= 0 && iy < h && ix >= 0 && ix < w)
+                                ? xplane[iy * w + ix]
+                                : 0.0f;
                 }
-              }
-            }
-          });
-          // With the fusion pass on, the absorbed ReLU runs in the conv
-          // GEMM's column epilogue instead of as a separate output pass.
-          ConvGemmBiasActInto(pw, patches, pb, out + img * oc * positions, oc,
-                              kk, positions, relu);
-        }
-      } else {
-        // Direct reference: the plain clipped loop nest, one worker per
-        // (image, out-channel) plane. The GEMM path's FLOPs are counted
-        // inside ConvGemmBiasActInto; the direct nest counts its own here.
-        DLSYS_COST_FLOPS(batch * step.flops_per_example);
-        ParallelFor(0, batch * oc, 1, [=](int64_t t0, int64_t t1) {
-          for (int64_t t = t0; t < t1; ++t) {
-            const int64_t img = t / oc;
-            const int64_t o = t % oc;
-            const float* xin = in + img * ic * h * w;
-            const float* wbase = pw + o * ic * kernel * kernel;
-            float* yplane = out + (img * oc + o) * ho * wo;
-            for (int64_t oy = 0; oy < ho; ++oy) {
-              const int64_t iy0 = oy * stride - pad;
-              for (int64_t ox = 0; ox < wo; ++ox) {
-                const int64_t ix0 = ox * stride - pad;
-                double acc = pb[o];
-                for (int64_t cc = 0; cc < ic; ++cc) {
-                  const float* xplane = xin + cc * h * w;
-                  const float* wplane = wbase + cc * kernel * kernel;
-                  for (int64_t ky = 0; ky < kernel; ++ky) {
-                    const int64_t iy = iy0 + ky;
-                    if (iy < 0 || iy >= h) continue;
-                    for (int64_t kx = 0; kx < kernel; ++kx) {
-                      const int64_t ix = ix0 + kx;
-                      if (ix < 0 || ix >= w) continue;
-                      acc += xplane[iy * w + ix] * wplane[ky * kernel + kx];
-                    }
-                  }
-                }
-                const float v = static_cast<float>(acc);
-                yplane[oy * wo + ox] = relu ? (v > 0.0f ? v : 0.0f) : v;
               }
             }
           }
         });
+        // An absorbed ReLU runs in the conv GEMM's column epilogue instead
+        // of as a separate output pass.
+        ConvGemmBiasActInto(pw, patches, pb, out + img * oc * positions, oc,
+                            kk, positions, relu);
       }
       return;
     }

@@ -29,46 +29,39 @@
 /// ## Numerics contract
 ///
 /// In fp32 mode the engine's output is **bitwise identical** to
-/// `Sequential::Forward(x, CacheMode::kNoCache)` for both conv algorithms
-/// AND for every pass combination: every kernel reproduces the training
-/// path's per-element operation sequence, and every rewrite pass is
-/// bitwise-neutral (fusion removes stores/reloads and kernel launches,
-/// folding moves where identical float expressions evaluate, packing moves
-/// where buffers live — see src/infer/passes.h). The im2col algorithm
-/// rewrites convolution as patch-matrix GEMM with zero-filled padding
+/// `Sequential::Forward(x, CacheMode::kNoCache)`: every kernel reproduces
+/// the training path's per-element operation sequence, and every rewrite
+/// pass is bitwise-neutral (fusion removes stores/reloads and kernel
+/// launches, folding moves where identical float expressions evaluate,
+/// packing moves where buffers live — see src/infer/passes.h).
+/// Convolution runs as im2col patch-matrix GEMM with zero-filled padding
 /// taps; a zero product leaves a finite accumulator unchanged, so the
-/// result matches the direct path's clipped loops bit for bit.
+/// result matches the training forward's clipped loops bit for bit.
 ///
 /// In int8 mode Dense layers run as ggml-style block-quantized integer
-/// GEMM (src/compress/quantization.h): weights quantize to q8 codes with
-/// one scale per 32-element block of each output feature's row (at compile
-/// time under the fold pass, per call without it — same bits either way),
-/// activations quantize per block at run time unless the quant-elimination
-/// pass lets the producing layer hand codes through directly, and
-/// dequantization is fused into the GEMM inner loop. int4 mode is
-/// identical except weights store 4-bit codes (scale = max|block|/7),
-/// halving weight bytes again; activations stay q8. Non-Dense layers keep
-/// fp32 arithmetic in both modes. The per-element operation sequence is
-/// fixed, so both quantized paths are bitwise deterministic across thread
-/// counts, SIMD ISAs, and pass combinations — divergence from fp32 is pure
-/// quantization error.
+/// GEMM (src/compress/quantization.h): weights quantize at compile time to
+/// q8 codes with one scale per 32-element block of each output feature's
+/// row, activations quantize per block at run time unless the
+/// quant-elimination pass lets the producing layer hand codes through
+/// directly, and dequantization is fused into the GEMM inner loop. int4
+/// mode is identical except weights store 4-bit codes (scale =
+/// max|block|/7), halving weight bytes again; activations stay q8.
+/// Non-Dense layers keep fp32 arithmetic in both modes. The per-element
+/// operation sequence is fixed, so both quantized paths are bitwise
+/// deterministic across thread counts and SIMD ISAs — divergence from
+/// fp32 is pure quantization error.
 
 namespace dlsys {
 
-/// \brief Compile-time engine options. (ConvAlgo and EngineNumeric live in
-/// src/infer/graph.h with the IR; PassConfig in src/infer/passes.h.)
+/// \brief Compile-time engine options. (EngineNumeric lives in
+/// src/infer/graph.h with the IR.)
 struct EngineConfig {
   EngineConfig() = default;
   /// Convenience: every default except the batch bound.
   explicit EngineConfig(int64_t batch) : max_batch(batch) {}
 
   int64_t max_batch = 64;  ///< largest batch PredictInto will accept
-  ConvAlgo conv_algo = ConvAlgo::kIm2col;
   EngineNumeric numeric = EngineNumeric::kFp32;
-  /// Which rewrite passes Compile runs (all on by default). The
-  /// DLSYS_PASSES environment variable overrides this field — see
-  /// src/infer/passes.h for the accepted spellings.
-  PassConfig passes;
 };
 
 /// \brief A compiled, arena-backed forward pipeline for one model.
@@ -113,24 +106,17 @@ class InferenceEngine {
   int64_t output_elems_per_example() const { return out_elems_; }
   /// \brief Batch ceiling declared at compile time.
   int64_t max_batch() const { return config_.max_batch; }
-  /// \brief The compile-time configuration (as passed; see pass_config()
-  /// for the effective pass set after the DLSYS_PASSES override).
+  /// \brief The compile-time configuration.
   const EngineConfig& config() const { return config_; }
   /// \brief Committed workspace bytes (activations + scratch) under the
-  /// emitted layout — liveness-packed when the pack pass ran.
+  /// liveness-packed layout.
   int64_t workspace_bytes() const { return arena_.total_bytes(); }
-  /// \brief Workspace bytes the ping-pong (pack-off) layout of the same
-  /// schedule would commit; with packing on, the before/after pair
-  /// (unpacked_workspace_bytes(), workspace_bytes()) quantifies the win.
-  int64_t unpacked_workspace_bytes() const { return unpacked_bytes_; }
   /// \brief Number of executable steps in the compiled schedule.
   int64_t step_count() const { return static_cast<int64_t>(steps_.size()); }
   /// \brief Live op-graph nodes after the rewrite passes (== step count).
   int64_t graph_node_count() const { return graph_.live_nodes(); }
   /// \brief What the rewrite passes did at compile time.
   const infer::PassStats& pass_stats() const { return stats_; }
-  /// \brief The effective pass set (config after DLSYS_PASSES override).
-  const PassConfig& pass_config() const { return passes_; }
 
  private:
   /// One executable schedule entry: a live graph node plus the arena
@@ -151,11 +137,6 @@ class InferenceEngine {
     /// consumer (live from this step through the consumer's step).
     TensorArena::BufferId qout_vals = -1;
     TensorArena::BufferId qout_scales = -1;
-    /// Fold-off scratch: transposed fp32 weight and the block codes +
-    /// scales re-derived from it on every call.
-    TensorArena::BufferId wt = -1;
-    TensorArena::BufferId wvals = -1;
-    TensorArena::BufferId wscales = -1;
 
     /// Trace/cost plan, fixed at compile time: span name plus per-example
     /// FLOPs and bytes moved, scaled by the batch at run time.
@@ -167,22 +148,20 @@ class InferenceEngine {
   InferenceEngine() = default;
 
   /// Assigns schedule positions, computes tensor live intervals, places
-  /// every buffer (packed first-fit or ping-pong), and commits the arena.
+  /// every buffer first-fit, and commits the arena.
   void PlanAndEmit();
 
   void RunStep(const Step& step, int64_t batch) const;
 
   EngineConfig config_;
-  PassConfig passes_;        ///< effective passes (after DLSYS_PASSES)
-  infer::PassStats stats_;   ///< what the passes did
-  infer::OpGraph graph_;     ///< rewritten IR; owns all constants
+  infer::PassStats stats_;  ///< what the passes did
+  infer::OpGraph graph_;    ///< rewritten IR; owns all constants
   Shape in_shape_, out_shape_;
   int64_t in_elems_ = 0, out_elems_ = 0;
   std::vector<Step> steps_;
   TensorArena arena_;
   TensorArena::BufferId input_buf_ = -1;   ///< where PredictInto copies in
   TensorArena::BufferId output_buf_ = -1;  ///< where the result lands
-  int64_t unpacked_bytes_ = 0;  ///< ping-pong layout size of this schedule
 };
 
 }  // namespace dlsys

@@ -67,8 +67,7 @@ Result<OpGraph> OpGraph::Lower(const Sequential& net,
       node.out_elems = dense->out_features();
       node.bias = dense->bias();
       // The fp32 weight is carried in all three numerics; constant folding
-      // (or the emitted prep pass when folding is off) derives the block
-      // codes for the quantized kinds.
+      // derives the block codes for the quantized kinds.
       node.weight = dense->weight();
       node.kind = numeric == EngineNumeric::kInt8   ? OpKind::kDenseInt8
                   : numeric == EngineNumeric::kInt4 ? OpKind::kDenseInt4

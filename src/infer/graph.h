@@ -28,12 +28,6 @@
 
 namespace dlsys {
 
-/// \brief Convolution execution strategy.
-enum class ConvAlgo {
-  kIm2col,  ///< patch-matrix GEMM through ConvGemmBiasActInto (default)
-  kDirect,  ///< reference loop nest; retained for bit-comparison and bench
-};
-
 /// \brief Arithmetic used for Dense layers.
 enum class EngineNumeric {
   kFp32,  ///< full float pipeline, bitwise equal to training forward
@@ -86,8 +80,7 @@ struct OpNode {
 
   /// Constants. Quantized Dense nodes carry the fp32 weight out of
   /// lowering; the constant-folding pass turns it into qweight8/qweight4
-  /// at compile time (with folding off, the emitted step re-derives the
-  /// codes from `weight` on every call — bitwise the same, just slower).
+  /// at compile time.
   Tensor weight;  ///< dense: (in, out); conv: (oc, ic, k, k)
   Tensor bias;
   Q8BlockMatrix qweight8;
@@ -99,17 +92,14 @@ struct OpNode {
 
   /// BatchNorm inference constants. Lowering stores the raw statistics;
   /// folding precomputes bn_inv[j] = 1/sqrt(running_var+eps) — the exact
-  /// float the training path (and the unfolded step) recomputes per
-  /// element.
+  /// float the training path recomputes per element.
   std::vector<float> bn_gamma, bn_beta, bn_mean, bn_var, bn_inv;
   float bn_eps = 0.0f;
 
   // ---- rewrite flags (set by src/infer/passes.cc) ----
-  bool epilogue_fused = false;  ///< bias (+relu) fused into the kernel pass
-  bool relu_fused = false;      ///< a trailing ReLU folded into this node
-  bool folded = false;          ///< weight-only subexpressions precomputed
-  bool quant_in = false;   ///< consumes q8 codes the producer already wrote
-  bool quant_out = false;  ///< epilogue emits q8 codes for the consumer
+  bool relu_fused = false;  ///< a trailing ReLU folded into this node
+  bool quant_in = false;    ///< consumes q8 codes the producer already wrote
+  bool quant_out = false;   ///< epilogue emits q8 codes for the consumer
 };
 
 /// \brief The lowered op graph: a node list in execution order plus the

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "src/obs/counters.h"
 #include "src/obs/trace.h"
@@ -38,11 +37,6 @@ int64_t FusePass(OpGraph* g) {
   for (size_t i = 0; i < g->nodes.size(); ++i) {
     OpNode& node = g->nodes[i];
     if (node.dead) continue;
-    if (IsDense(node.kind)) {
-      // The bias add (and any absorbed ReLU) runs as the GEMM's epilogue:
-      // one output pass instead of two or three.
-      node.epilogue_fused = true;
-    }
     if (!IsDense(node.kind) && node.kind != OpKind::kConv) continue;
     const int c = SoleConsumer(*g, node.output);
     if (c < 0) continue;
@@ -56,8 +50,11 @@ int64_t FusePass(OpGraph* g) {
     relu.dead = true;
   }
   g->RebuildEdges();
+  // Every dense node runs its bias add (and any absorbed ReLU) as the
+  // GEMM's epilogue, so each counts as fused; conv counts when a ReLU
+  // folded into it.
   for (const OpNode& node : g->nodes) {
-    if (!node.dead && (node.epilogue_fused || node.relu_fused)) ++fused;
+    if (!node.dead && (IsDense(node.kind) || node.relu_fused)) ++fused;
   }
   return fused;
 }
@@ -89,31 +86,27 @@ int64_t FoldPass(OpGraph* g) {
     if (node.dead) continue;
     switch (node.kind) {
       case OpKind::kDenseInt8:
-        // Weight-only subexpression: transpose + block-quantize moves to
-        // compile time. With folding off the emitted step re-derives the
-        // same codes from the fp32 weight on every call.
+        // Weight-only subexpression: transpose + block-quantize runs once,
+        // at compile time, instead of in the serve loop.
         node.qweight8 = Q8BlockQuantizeRows(Transpose(node.weight));
         node.weight = Tensor();
-        node.folded = true;
         ++folded;
         break;
       case OpKind::kDenseInt4:
         node.qweight4 = Q4BlockQuantizeRows(Transpose(node.weight));
         node.weight = Tensor();
-        node.folded = true;
         ++folded;
         break;
       case OpKind::kBatchNorm: {
-        // Precompute the exact float the training path (and the unfolded
-        // step) recomputes per element. Folding BN into a*x+b would change
-        // the float op sequence and break the bitwise contract, so only
-        // the rsqrt is lifted.
+        // Precompute the exact float the training path recomputes per
+        // element. Folding BN into a*x+b would change the float op
+        // sequence and break the bitwise contract, so only the rsqrt is
+        // lifted.
         const size_t f = node.bn_var.size();
         node.bn_inv.resize(f);
         for (size_t j = 0; j < f; ++j) {
           node.bn_inv[j] = 1.0f / std::sqrt(node.bn_var[j] + node.bn_eps);
         }
-        node.folded = true;
         ++folded;
         break;
       }
@@ -126,68 +119,19 @@ int64_t FoldPass(OpGraph* g) {
 
 }  // namespace
 
-Status ParsePassList(const std::string& spec, PassConfig* out) {
-  if (spec == "all" || spec == "default") {
-    *out = PassConfig{};
-    return Status::OK();
-  }
-  if (spec == "none") {
-    *out = PassConfig{false, false, false, false};
-    return Status::OK();
-  }
-  PassConfig config{false, false, false, false};
-  size_t start = 0;
-  while (start <= spec.size()) {
-    size_t comma = spec.find(',', start);
-    if (comma == std::string::npos) comma = spec.size();
-    const std::string token = spec.substr(start, comma - start);
-    if (token == "fuse") {
-      config.fuse = true;
-    } else if (token == "quant_elim") {
-      config.quant_elim = true;
-    } else if (token == "fold") {
-      config.fold = true;
-    } else if (token == "pack") {
-      config.pack = true;
-    } else {
-      return Status::InvalidArgument(
-          "DLSYS_PASSES: unknown pass '" + token +
-          "' (want all|none|default or a comma list of "
-          "fuse|quant_elim|fold|pack)");
-    }
-    start = comma + 1;
-  }
-  *out = config;
-  return Status::OK();
-}
-
-PassConfig ResolvePassConfig(const PassConfig& base) {
-  const char* env = std::getenv("DLSYS_PASSES");
-  if (env == nullptr || env[0] == '\0') return base;
-  const std::string spec(env);
-  if (spec == "default") return base;
-  PassConfig config;
-  const Status parsed = ParsePassList(spec, &config);
-  // A forced pass list that silently fell back would invalidate any
-  // parity or perf conclusion drawn from the run — same policy as
-  // DLSYS_ISA.
-  DLSYS_CHECK(parsed.ok(), parsed.message().c_str());
-  return config;
-}
-
-PassStats RunPasses(OpGraph* graph, const PassConfig& config) {
+PassStats RunPasses(OpGraph* graph) {
   PassStats stats;
-  if (config.fuse) {
+  {
     DLSYS_TRACE_SPAN("infer.pass.fuse", "compile");
     stats.fused = FusePass(graph);
     DLSYS_COUNTER_ADD("infer.pass.fuse.rewrites", stats.fused);
   }
-  if (config.quant_elim) {
+  {
     DLSYS_TRACE_SPAN("infer.pass.quant_elim", "compile");
     stats.quant_elided = QuantElimPass(graph);
     DLSYS_COUNTER_ADD("infer.pass.quant_elim.elided", stats.quant_elided);
   }
-  if (config.fold) {
+  {
     DLSYS_TRACE_SPAN("infer.pass.fold", "compile");
     stats.folded = FoldPass(graph);
     DLSYS_COUNTER_ADD("infer.pass.fold.folded", stats.folded);

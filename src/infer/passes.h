@@ -2,16 +2,14 @@
 #define DLSYS_INFER_PASSES_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
-#include "src/core/status.h"
 #include "src/infer/graph.h"
 
 /// \file passes.h
 /// \brief Rewrite passes over the inference op-graph IR (src/infer/graph.h).
 ///
-/// The pipeline runs in a fixed order at Compile time:
+/// Every Compile runs the same pipeline, in this fixed order:
 ///
 ///   1. **fuse** — operator fusion. dense+bias(+relu) and conv+bias+relu
 ///      collapse into single fused steps dispatched through the fused
@@ -25,35 +23,19 @@
 ///      transpose+block-quantize of Dense weights and the BatchNorm
 ///      1/sqrt(var+eps) vector move from run time to compile time.
 ///   4. **pack** — liveness-analysis-driven arena packing. Per-tensor live
-///      intervals replace the ping-pong activation pair with first-fit
-///      offset assignment, so non-overlapping intermediates share storage
-///      (the emitter consumes the intervals; PackLiveRanges does the
-///      placement).
+///      intervals drive first-fit offset assignment, so non-overlapping
+///      intermediates share storage (the emitter computes the intervals;
+///      PackLiveRanges does the placement).
 ///
-/// **Determinism contract:** every pass is bitwise-neutral in fp32 — the
-/// per-element float operation sequence of the unfused schedule is
-/// preserved exactly (fusion only removes intermediate stores/reloads and
-/// kernel launches, folding only moves *where* identical float expressions
-/// are evaluated, packing only moves *where* buffers live). Output with
-/// all passes on equals output with all passes off bit for bit, at any
-/// DLSYS_THREADS and under every forced ISA; tests enforce this.
-///
-/// Each pass is individually toggleable via EngineConfig::passes, and the
-/// `DLSYS_PASSES` environment variable overrides the config (values:
-/// `all`, `none`, `default`, or a comma list like `fuse,pack` naming the
-/// passes to enable). An unknown spelling aborts — a forced pass list that
-/// silently fell back would invalidate any conclusion drawn from the run.
+/// **Determinism contract:** in fp32 every pass preserves the training
+/// forward's per-element float operation sequence (fusion only removes
+/// intermediate stores/reloads and kernel launches, folding only moves
+/// *where* identical float expressions are evaluated, packing only moves
+/// *where* buffers live), so the engine output equals
+/// `Sequential::Forward(kNoCache)` bit for bit at any DLSYS_THREADS and
+/// under every forced ISA; tests enforce this.
 
 namespace dlsys {
-
-/// \brief Which rewrite passes Compile runs. Defaults to all on.
-struct PassConfig {
-  bool fuse = true;        ///< operator/epilogue fusion
-  bool quant_elim = true;  ///< block-code pass-through at quantized edges
-  bool fold = true;        ///< compile-time constant folding
-  bool pack = true;        ///< liveness-packed arena layout
-};
-
 namespace infer {
 
 /// \brief What the passes did, for counters/gauges and tests.
@@ -63,22 +45,11 @@ struct PassStats {
   int64_t folded = 0;       ///< nodes whose weight expressions folded
 };
 
-/// \brief Parses a DLSYS_PASSES spelling into \p out. Accepts "all",
-/// "none", "default", or a comma-separated subset of
-/// {fuse,quant_elim,fold,pack} (named passes on, the rest off). Returns
-/// InvalidArgument on an unknown token.
-Status ParsePassList(const std::string& spec, PassConfig* out);
-
-/// \brief Applies the DLSYS_PASSES environment override (if set) to
-/// \p base and returns the effective config. Aborts on a malformed
-/// override, mirroring DLSYS_ISA.
-PassConfig ResolvePassConfig(const PassConfig& base);
-
-/// \brief Runs the enabled rewrite passes over \p graph in pipeline
+/// \brief Runs fuse, quant_elim and fold over \p graph in pipeline
 /// order, tracing one span per pass and bumping infer.pass.* counters.
 /// (The pack pass only emits liveness decisions at schedule emission —
 /// see PackLiveRanges — so it has no graph rewrite here.)
-PassStats RunPasses(OpGraph* graph, const PassConfig& config);
+PassStats RunPasses(OpGraph* graph);
 
 /// \brief One buffer the liveness packer places: a byte size plus the
 /// inclusive interval of schedule steps during which it is live.

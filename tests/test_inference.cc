@@ -1,17 +1,18 @@
 // Tests for the batched inference engine (src/infer): fp32 bitwise parity
-// with the training forward across thread counts and conv algorithms, the
-// arena's plan-once discipline, zero steady-state tensor allocations, the
-// int8/int4 paths' determinism and accuracy envelope, and the graph pass
-// pipeline.
+// with the training forward across thread counts and ISAs, the arena's
+// plan-once discipline, zero steady-state tensor allocations, the
+// int8/int4 paths' determinism, accuracy envelope and bitwise agreement
+// with a layer-by-layer reference, and the graph pass pipeline.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "src/compress/quantization.h"
 #include "src/data/dataset.h"
 #include "src/data/synthetic.h"
 #include "src/infer/arena.h"
@@ -24,6 +25,7 @@
 #include "src/optim/optimizer.h"
 #include "src/runtime/runtime.h"
 #include "src/simd/dispatch.h"
+#include "src/tensor/int8_gemm.h"
 #include "src/tensor/ops.h"
 
 namespace dlsys {
@@ -35,54 +37,35 @@ bool BitwiseEqual(const Tensor& a, const Tensor& b) {
                      static_cast<size_t>(a.bytes())) == 0;
 }
 
-/// Pins DLSYS_PASSES for a test's lifetime and restores the prior value on
-/// exit. The env var overrides EngineConfig::passes in every Compile, so
-/// tests that assert graph structure must pin it — otherwise the CI
-/// passes-off job (which exports DLSYS_PASSES=none for the whole suite)
-/// would disable the rewrites they are asserting on.
-class PassEnvOverride {
- public:
-  explicit PassEnvOverride(const char* value) {
-    const char* prev = std::getenv("DLSYS_PASSES");
-    had_prev_ = prev != nullptr;
-    if (had_prev_) prev_ = prev;
-    if (value != nullptr) {
-      setenv("DLSYS_PASSES", value, 1);
-    } else {
-      unsetenv("DLSYS_PASSES");
+/// Init zeroes biases and BatchNorm's beta; parity tests draw every
+/// rank-1 parameter instead, so a mishandled bias cannot hide behind
+/// zeros.
+void RandomizeVectorParams(Sequential* net, Rng* rng) {
+  for (int64_t li = 0; li < net->size(); ++li) {
+    for (Tensor* p : net->layer(li)->Params()) {
+      if (p->rank() == 1) p->FillGaussian(rng, 0.5f);
     }
   }
-  ~PassEnvOverride() {
-    if (had_prev_) {
-      setenv("DLSYS_PASSES", prev_.c_str(), 1);
-    } else {
-      unsetenv("DLSYS_PASSES");
-    }
-  }
-
- private:
-  bool had_prev_ = false;
-  std::string prev_;
-};
+}
 
 // ------------------------------------------------------------ TensorArena
 
-TEST(TensorArenaTest, ReserveCommitResolve) {
+TEST(TensorArenaTest, PlaceCommitResolve) {
   TensorArena arena;
-  const TensorArena::BufferId f = arena.ReserveFloats(100);
-  const TensorArena::BufferId q = arena.ReserveInt8s(33);
-  const TensorArena::BufferId a = arena.ReserveInt32s(7);
+  // Same live interval, so the two buffers must sit in disjoint bytes:
+  // 100 floats round up to 448 bytes.
+  const TensorArena::BufferId f = arena.PlaceFloats(0, 100, 0, 0);
+  const TensorArena::BufferId q = arena.PlaceInt8s(448, 33, 0, 0);
   EXPECT_FALSE(arena.committed());
   arena.Commit();
   EXPECT_TRUE(arena.committed());
-  EXPECT_EQ(arena.buffer_count(), 3);
+  EXPECT_EQ(arena.buffer_count(), 2);
   EXPECT_EQ(arena.ElementCount(f), 100);
   EXPECT_EQ(arena.ElementCount(q), 33);
-  EXPECT_GT(arena.total_bytes(), 0);
+  EXPECT_EQ(arena.total_bytes(), 448 + 64);
   // Every buffer is 64-byte aligned.
   EXPECT_EQ(reinterpret_cast<uintptr_t>(arena.Floats(f)) % 64, 0u);
   EXPECT_EQ(reinterpret_cast<uintptr_t>(arena.Int8s(q)) % 64, 0u);
-  EXPECT_EQ(reinterpret_cast<uintptr_t>(arena.Int32s(a)) % 64, 0u);
   // Buffers are disjoint and writable end to end.
   float* pf = arena.Floats(f);
   for (int i = 0; i < 100; ++i) pf[i] = 1.0f;
@@ -95,7 +78,7 @@ TEST(TensorArenaTest, RegistersWithMemoryTracker) {
   const int64_t before = MemoryTracker::Global().current_bytes();
   {
     TensorArena arena;
-    arena.ReserveFloats(1024);
+    arena.PlaceFloats(0, 1024, 0, 0);
     arena.Commit();
     EXPECT_GE(MemoryTracker::Global().current_bytes() - before,
               1024 * static_cast<int64_t>(sizeof(float)));
@@ -103,18 +86,18 @@ TEST(TensorArenaTest, RegistersWithMemoryTracker) {
   EXPECT_EQ(MemoryTracker::Global().current_bytes(), before);
 }
 
-TEST(TensorArenaDeathTest, ReserveAfterCommitAborts) {
+TEST(TensorArenaDeathTest, PlaceAfterCommitAborts) {
   TensorArena arena;
-  arena.ReserveFloats(8);
+  arena.PlaceFloats(0, 8, 0, 0);
   arena.Commit();
   // The in-place reuse guarantee: once the plan is frozen, any attempt to
   // grow the workspace is a planning bug and must abort loudly.
-  EXPECT_DEATH(arena.ReserveFloats(8), "after Commit");
+  EXPECT_DEATH(arena.PlaceFloats(64, 8, 1, 1), "after Commit");
 }
 
 TEST(TensorArenaDeathTest, AccessBeforeCommitAborts) {
   TensorArena arena;
-  const TensorArena::BufferId id = arena.ReserveFloats(8);
+  const TensorArena::BufferId id = arena.PlaceFloats(0, 8, 0, 0);
   EXPECT_DEATH(arena.Floats(id), "before Commit");
 }
 
@@ -163,30 +146,26 @@ TEST(InferenceEngineTest, MlpBitwiseMatchesSequentialAcrossThreads) {
   RuntimeConfig::SetThreads(1);
 }
 
-TEST(InferenceEngineTest, CnnBitwiseMatchesSequentialBothConvAlgos) {
+TEST(InferenceEngineTest, CnnBitwiseMatchesSequentialAcrossThreads) {
+  // im2col conv (zero-filled padding taps) against the training forward's
+  // clipped loop nest.
   Rng rng(32);
   Sequential net = MakeCnn(12, 4, 6, 5);
   net.Init(&rng);
+  RandomizeVectorParams(&net, &rng);
   Tensor x({3, 1, 12, 12});
   x.FillGaussian(&rng, 1.0f);
   RuntimeConfig::SetThreads(1);
   const Tensor ref = net.Forward(x, CacheMode::kNoCache);
 
-  for (ConvAlgo algo : {ConvAlgo::kIm2col, ConvAlgo::kDirect}) {
-    EngineConfig config;
-    config.max_batch = 8;
-    config.conv_algo = algo;
-    auto compiled = InferenceEngine::Compile(net, {1, 12, 12}, config);
-    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-    InferenceEngine engine = std::move(compiled).value();
-    for (int threads : {1, 2, 8}) {
-      RuntimeConfig::SetThreads(threads);
-      auto y = engine.Predict(x);
-      ASSERT_TRUE(y.ok()) << y.status().ToString();
-      EXPECT_TRUE(BitwiseEqual(*y, ref))
-          << "algo=" << (algo == ConvAlgo::kIm2col ? "im2col" : "direct")
-          << " threads=" << threads;
-    }
+  auto compiled = InferenceEngine::Compile(net, {1, 12, 12}, EngineConfig{8});
+  ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+  InferenceEngine engine = std::move(compiled).value();
+  for (int threads : {1, 2, 8}) {
+    RuntimeConfig::SetThreads(threads);
+    auto y = engine.Predict(x);
+    ASSERT_TRUE(y.ok()) << y.status().ToString();
+    EXPECT_TRUE(BitwiseEqual(*y, ref)) << "threads=" << threads;
   }
   RuntimeConfig::SetThreads(1);
 }
@@ -472,20 +451,23 @@ TEST(InferenceEngineTest, PredictErrors) {
 
 // ------------------------------------------------- graph pass pipeline
 
-TEST(PassPipelineTest, Fp32BitwiseInvariantAcrossPassesIsasThreads) {
-  // The acceptance bar for every rewrite pass: fp32 output with all
-  // passes on is bitwise identical to the unfused (all-off) schedule and
-  // to the training forward, at threads 1/2/8 under each supported ISA.
+TEST(PassPipelineTest, Fp32BitwiseInvariantAcrossIsasThreads) {
+  // The acceptance bar for every rewrite pass: fp32 output of the
+  // rewritten schedule is bitwise identical to the training forward, at
+  // threads 1/2/8 under each supported ISA.
   Rng rng(50);
   Sequential mlp = MakeMlp(16, {32, 24}, 4);
   mlp.Init(&rng);
+  RandomizeVectorParams(&mlp, &rng);
   Sequential mixed = MakeMixedMlp();
   mixed.Init(&rng);
+  RandomizeVectorParams(&mixed, &rng);
   Tensor warm({32, 16});
   warm.FillGaussian(&rng, 1.0f);
   mixed.Forward(warm, CacheMode::kCache);
   Sequential cnn = MakeCnn(12, 4, 6, 5);
   cnn.Init(&rng);
+  RandomizeVectorParams(&cnn, &rng);
 
   struct Case {
     Sequential* net;
@@ -505,10 +487,118 @@ TEST(PassPipelineTest, Fp32BitwiseInvariantAcrossPassesIsasThreads) {
   for (Case& c : cases) {
     RuntimeConfig::SetThreads(1);
     const Tensor ref = c.net->Forward(c.x, CacheMode::kNoCache);
-    for (const char* passes : {"all", "none", "fuse", "fuse,pack"}) {
-      PassEnvOverride env(passes);
-      auto compiled = InferenceEngine::Compile(*c.net, c.shape,
-                                               EngineConfig{16});
+    auto compiled = InferenceEngine::Compile(*c.net, c.shape,
+                                             EngineConfig{16});
+    ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
+    InferenceEngine engine = std::move(compiled).value();
+    for (simd::Isa isa :
+         {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kAvx512}) {
+      if (!simd::IsaSupported(isa)) continue;
+      simd::SetIsa(isa);
+      for (int threads : {1, 2, 8}) {
+        RuntimeConfig::SetThreads(threads);
+        auto y = engine.Predict(c.x);
+        ASSERT_TRUE(y.ok()) << y.status().ToString();
+        EXPECT_TRUE(BitwiseEqual(*y, ref))
+            << c.label << " isa=" << simd::IsaName(isa)
+            << " threads=" << threads;
+      }
+    }
+    simd::SetIsa(initial_isa);
+  }
+  RuntimeConfig::SetThreads(1);
+}
+
+/// Test-side reference for the quantized engine. Walks the Sequential
+/// layer by layer: each Dense runs as q8-block activations times q8/q4
+/// block codes of its transposed weight through the naive block GEMM,
+/// then adds the bias; every other layer runs its own inference forward.
+/// Shares no lowering, graph, arena or kernel-table code with the engine.
+Tensor QuantizedReference(Sequential* net, const Tensor& x,
+                          EngineNumeric numeric) {
+  Tensor h = x;
+  for (int64_t li = 0; li < net->size(); ++li) {
+    Layer* layer = net->layer(li);
+    const auto* dense = dynamic_cast<const Dense*>(layer);
+    if (dense == nullptr) {
+      h = layer->Forward(h, CacheMode::kNoCache);
+      continue;
+    }
+    const int64_t m = h.dim(0), n = dense->out_features();
+    const Q8BlockMatrix qa = Q8BlockQuantizeRows(h);
+    const Tensor wt = Transpose(dense->weight());
+    Tensor y({m, n});
+    if (numeric == EngineNumeric::kInt8) {
+      const Q8BlockMatrix qw = Q8BlockQuantizeRows(wt);
+      NaiveQ8BlockGemmTransBInto(qa.values.data(), qa.scales.data(),
+                                 qw.values.data(), qw.scales.data(),
+                                 y.data(), m, qa.padded_cols, n);
+    } else {
+      const Q4BlockMatrix qw = Q4BlockQuantizeRows(wt);
+      NaiveQ4BlockGemmTransBInto(qa.values.data(), qa.scales.data(),
+                                 qw.values.data(), qw.scales.data(),
+                                 y.data(), m, qa.padded_cols, n);
+    }
+    for (int64_t i = 0; i < m; ++i) {
+      for (int64_t j = 0; j < n; ++j) y[i * n + j] += dense->bias()[j];
+    }
+    h = std::move(y);
+  }
+  return h;
+}
+
+/// Dense-BN-Tanh-Dense-ReLU-Dense-Sigmoid-Dropout-Dense: quant_elim hands
+/// codes across the fused Dense-ReLU-Dense boundary, while BN/Tanh and
+/// Sigmoid block it at the other two.
+Sequential MakeQuantBoundaryNet(int64_t in) {
+  Sequential net;
+  net.Emplace<Dense>(in, 40);
+  net.Emplace<BatchNorm1d>(40);
+  net.Emplace<Tanh>();
+  net.Emplace<Dense>(40, 36);
+  net.Emplace<ReLU>();
+  net.Emplace<Dense>(36, 20);
+  net.Emplace<Sigmoid>();
+  net.Emplace<Dropout>(0.3f);
+  net.Emplace<Dense>(20, 4);
+  return net;
+}
+
+TEST(QuantizedEngineTest, BitwiseMatchesLayerByLayerReference) {
+  // Input widths 16 (one block), 20 and 70 (padded K), on a plain ReLU MLP
+  // (every interior boundary elides its re-quantization) and on the
+  // boundary net with warmed BatchNorm statistics.
+  Rng rng(51);
+  struct Case {
+    Sequential net;
+    int64_t in;
+    const char* label;
+  };
+  std::vector<Case> cases;
+  for (int64_t in : {16, 20, 70}) {
+    cases.push_back({MakeMlp(in, {48, 32}, 4), in, "mlp"});
+  }
+  cases.push_back({MakeQuantBoundaryNet(20), 20, "boundary"});
+  for (Case& c : cases) {
+    c.net.Init(&rng);
+    RandomizeVectorParams(&c.net, &rng);
+    Tensor warm({32, c.in});
+    warm.FillGaussian(&rng, 1.0f);
+    c.net.Forward(warm, CacheMode::kCache);
+    c.net.Forward(warm, CacheMode::kCache);
+  }
+
+  const simd::Isa initial_isa = simd::ActiveIsa();
+  for (Case& c : cases) {
+    Tensor x({9, c.in});
+    x.FillGaussian(&rng, 1.0f);
+    for (EngineNumeric numeric : {EngineNumeric::kInt8, EngineNumeric::kInt4}) {
+      RuntimeConfig::SetThreads(1);
+      const Tensor ref = QuantizedReference(&c.net, x, numeric);
+      EngineConfig config;
+      config.max_batch = 16;
+      config.numeric = numeric;
+      auto compiled = InferenceEngine::Compile(c.net, {c.in}, config);
       ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
       InferenceEngine engine = std::move(compiled).value();
       for (simd::Isa isa :
@@ -517,10 +607,10 @@ TEST(PassPipelineTest, Fp32BitwiseInvariantAcrossPassesIsasThreads) {
         simd::SetIsa(isa);
         for (int threads : {1, 2, 8}) {
           RuntimeConfig::SetThreads(threads);
-          auto y = engine.Predict(c.x);
-          ASSERT_TRUE(y.ok()) << y.status().ToString();
-          EXPECT_TRUE(BitwiseEqual(*y, ref))
-              << c.label << " passes=" << passes
+          const Tensor y = std::move(engine.Predict(x)).value();
+          EXPECT_TRUE(BitwiseEqual(y, ref))
+              << c.label << " in=" << c.in << " numeric="
+              << (numeric == EngineNumeric::kInt8 ? "int8" : "int4")
               << " isa=" << simd::IsaName(isa) << " threads=" << threads;
         }
       }
@@ -530,93 +620,47 @@ TEST(PassPipelineTest, Fp32BitwiseInvariantAcrossPassesIsasThreads) {
   RuntimeConfig::SetThreads(1);
 }
 
-TEST(PassPipelineTest, QuantizedOutputsIdenticalWithPassesOnAndOff) {
-  // In the quantized paths the passes move *where* identical work happens
-  // (weights fold at compile time, codes pass through layer boundaries),
-  // so all-on and all-off must still agree bit for bit.
-  Rng rng(51);
-  Sequential net = MakeMlp(16, {48, 32}, 4);
-  net.Init(&rng);
-  Tensor x({8, 16});
-  x.FillGaussian(&rng, 1.0f);
-  for (EngineNumeric numeric : {EngineNumeric::kInt8, EngineNumeric::kInt4}) {
-    EngineConfig config;
-    config.max_batch = 8;
-    config.numeric = numeric;
-    Tensor ref;
-    {
-      PassEnvOverride env("none");
-      auto compiled = InferenceEngine::Compile(net, {16}, config);
-      ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-      ref = std::move(std::move(compiled).value().Predict(x)).value();
-    }
-    for (const char* passes : {"all", "fuse,quant_elim", "fold"}) {
-      PassEnvOverride env(passes);
-      auto compiled = InferenceEngine::Compile(net, {16}, config);
-      ASSERT_TRUE(compiled.ok()) << compiled.status().ToString();
-      InferenceEngine engine = std::move(compiled).value();
-      for (int threads : {1, 2, 8}) {
-        RuntimeConfig::SetThreads(threads);
-        const Tensor y = std::move(engine.Predict(x)).value();
-        EXPECT_TRUE(BitwiseEqual(y, ref))
-            << "numeric="
-            << (numeric == EngineNumeric::kInt8 ? "int8" : "int4")
-            << " passes=" << passes << " threads=" << threads;
-      }
-    }
-  }
-  RuntimeConfig::SetThreads(1);
-}
-
 TEST(PassPipelineTest, FusionAbsorbsReluNodesIntoProducers) {
   Rng rng(52);
   Sequential net = MakeMlp(16, {32, 24}, 4);  // 3 dense + 2 relu layers
   net.Init(&rng);
-  {
-    PassEnvOverride env("none");
-    auto compiled = InferenceEngine::Compile(net, {16}, EngineConfig{8});
-    ASSERT_TRUE(compiled.ok());
-    const InferenceEngine engine = std::move(compiled).value();
-    EXPECT_EQ(engine.graph_node_count(), 5);
-    EXPECT_EQ(engine.step_count(), 5);
-    EXPECT_EQ(engine.pass_stats().fused, 0);
-    EXPECT_FALSE(engine.pass_config().fuse);
-  }
-  {
-    PassEnvOverride env("all");
-    auto compiled = InferenceEngine::Compile(net, {16}, EngineConfig{8});
-    ASSERT_TRUE(compiled.ok());
-    const InferenceEngine engine = std::move(compiled).value();
-    // Both relus fold into their dense producers; all three dense nodes
-    // carry a fused epilogue.
-    EXPECT_EQ(engine.graph_node_count(), 3);
-    EXPECT_EQ(engine.step_count(), 3);
-    EXPECT_EQ(engine.pass_stats().fused, 3);
-  }
+  auto compiled = InferenceEngine::Compile(net, {16}, EngineConfig{8});
+  ASSERT_TRUE(compiled.ok());
+  const InferenceEngine engine = std::move(compiled).value();
+  // Both relus fold into their dense producers; all three dense nodes
+  // carry a fused epilogue.
+  EXPECT_EQ(engine.graph_node_count(), 3);
+  EXPECT_EQ(engine.step_count(), 3);
+  EXPECT_EQ(engine.pass_stats().fused, 3);
 }
 
 TEST(PassPipelineTest, QuantElimRequiresAdjacencyThroughFusion) {
   Rng rng(53);
-  Sequential net = MakeMlp(16, {48, 32}, 4);
-  net.Init(&rng);
   EngineConfig config;
   config.max_batch = 8;
   config.numeric = EngineNumeric::kInt8;
   {
-    // Without fusion the relu between quantized denses blocks elision:
-    // its fp32 output must materialize, so codes cannot pass through.
-    PassEnvOverride env("quant_elim");
-    auto compiled = InferenceEngine::Compile(net, {16}, config);
-    ASSERT_TRUE(compiled.ok());
-    EXPECT_EQ(std::move(compiled).value().pass_stats().quant_elided, 0);
-  }
-  {
     // Fusion runs first and absorbs the relus, making the dense layers
     // adjacent: both interior boundaries elide their quant/dequant pair.
-    PassEnvOverride env("fuse,quant_elim");
+    Sequential net = MakeMlp(16, {48, 32}, 4);
+    net.Init(&rng);
     auto compiled = InferenceEngine::Compile(net, {16}, config);
     ASSERT_TRUE(compiled.ok());
     EXPECT_EQ(std::move(compiled).value().pass_stats().quant_elided, 2);
+  }
+  {
+    // A sigmoid does not fuse: its fp32 output must materialize between
+    // the quantized denses, so codes cannot pass through.
+    Sequential net;
+    net.Emplace<Dense>(16, 48);
+    net.Emplace<Sigmoid>();
+    net.Emplace<Dense>(48, 32);
+    net.Emplace<Sigmoid>();
+    net.Emplace<Dense>(32, 4);
+    net.Init(&rng);
+    auto compiled = InferenceEngine::Compile(net, {16}, config);
+    ASSERT_TRUE(compiled.ok());
+    EXPECT_EQ(std::move(compiled).value().pass_stats().quant_elided, 0);
   }
 }
 
@@ -627,7 +671,6 @@ TEST(PassPipelineTest, ConstantFoldingQuantizesWeightsAtCompileTime) {
   EngineConfig config;
   config.max_batch = 8;
   config.numeric = EngineNumeric::kInt8;
-  PassEnvOverride env("fold");
   auto compiled = InferenceEngine::Compile(net, {16}, config);
   ASSERT_TRUE(compiled.ok());
   EXPECT_EQ(std::move(compiled).value().pass_stats().folded, 2);
@@ -635,75 +678,24 @@ TEST(PassPipelineTest, ConstantFoldingQuantizesWeightsAtCompileTime) {
 
 TEST(PassPipelineTest, LivenessPackingShrinksWorkspaceOnFunnelMlp) {
   // A funnel MLP (widths strictly shrinking) is where first-fit liveness
-  // packing beats the ping-pong pair: the pair charges 2x the *widest*
-  // activation, while packing overlaps wide early buffers with the
-  // narrow late ones.
+  // packing beats a ping-pong activation pair: the pair charges 2x the
+  // *widest* activation, while packing overlaps wide early buffers with
+  // the narrow late ones.
   Rng rng(55);
+  const std::vector<int64_t> widths = {512, 256, 128, 64, 32, 8};
   Sequential net = MakeMlp(512, {256, 128, 64, 32}, 8);  // 9 layers
   net.Init(&rng);
-  PassEnvOverride env("all");
-  auto compiled = InferenceEngine::Compile(net, {512}, EngineConfig{8});
+  const int64_t max_batch = 8;
+  auto compiled =
+      InferenceEngine::Compile(net, {512}, EngineConfig{max_batch});
   ASSERT_TRUE(compiled.ok());
   InferenceEngine engine = std::move(compiled).value();
-  EXPECT_LT(engine.workspace_bytes(), engine.unpacked_workspace_bytes())
+  const int64_t widest = *std::max_element(widths.begin(), widths.end());
+  const int64_t ping_pong_bytes =
+      2 * static_cast<int64_t>(sizeof(float)) * widest * max_batch;
+  EXPECT_LT(engine.workspace_bytes(), ping_pong_bytes)
       << "packed=" << engine.workspace_bytes()
-      << " unpacked=" << engine.unpacked_workspace_bytes();
-
-  // And packing must never *grow* the plan on any model.
-  PassEnvOverride env_off("fuse,quant_elim,fold");
-  auto unpacked = InferenceEngine::Compile(net, {512}, EngineConfig{8});
-  ASSERT_TRUE(unpacked.ok());
-  EXPECT_EQ(std::move(unpacked).value().workspace_bytes(),
-            engine.unpacked_workspace_bytes());
-}
-
-TEST(PassPipelineTest, DlsysPassesEnvOverridesConfig) {
-  Rng rng(56);
-  Sequential net = MakeMlp(16, {32}, 4);
-  net.Init(&rng);
-  EngineConfig config;
-  config.max_batch = 8;
-  config.passes = PassConfig{false, false, false, false};
-  {
-    PassEnvOverride env("all");  // env wins over the all-off config
-    auto compiled = InferenceEngine::Compile(net, {16}, config);
-    ASSERT_TRUE(compiled.ok());
-    const InferenceEngine engine = std::move(compiled).value();
-    EXPECT_TRUE(engine.pass_config().fuse);
-    EXPECT_TRUE(engine.pass_config().pack);
-    EXPECT_GT(engine.pass_stats().fused, 0);
-  }
-  {
-    PassEnvOverride env("fuse");  // single-pass spelling
-    auto compiled = InferenceEngine::Compile(net, {16}, EngineConfig{8});
-    ASSERT_TRUE(compiled.ok());
-    const InferenceEngine engine = std::move(compiled).value();
-    EXPECT_TRUE(engine.pass_config().fuse);
-    EXPECT_FALSE(engine.pass_config().quant_elim);
-    EXPECT_FALSE(engine.pass_config().fold);
-    EXPECT_FALSE(engine.pass_config().pack);
-  }
-  {
-    PassEnvOverride env(nullptr);  // no env: the config stands
-    auto compiled = InferenceEngine::Compile(net, {16}, config);
-    ASSERT_TRUE(compiled.ok());
-    EXPECT_FALSE(std::move(compiled).value().pass_config().fuse);
-  }
-}
-
-TEST(PassPipelineTest, ParsePassListSpellings) {
-  PassConfig c;
-  EXPECT_TRUE(infer::ParsePassList("all", &c).ok());
-  EXPECT_TRUE(c.fuse && c.quant_elim && c.fold && c.pack);
-  EXPECT_TRUE(infer::ParsePassList("none", &c).ok());
-  EXPECT_FALSE(c.fuse || c.quant_elim || c.fold || c.pack);
-  EXPECT_TRUE(infer::ParsePassList("fold,pack", &c).ok());
-  EXPECT_FALSE(c.fuse);
-  EXPECT_FALSE(c.quant_elim);
-  EXPECT_TRUE(c.fold);
-  EXPECT_TRUE(c.pack);
-  EXPECT_FALSE(infer::ParsePassList("warp_drive", &c).ok());
-  EXPECT_FALSE(infer::ParsePassList("fuse,,pack", &c).ok());
+      << " ping-pong=" << ping_pong_bytes;
 }
 
 #if DLSYS_OBS
@@ -711,7 +703,6 @@ TEST(PassPipelineTest, CompileExportsWorkspaceAndGraphGauges) {
   Rng rng(57);
   Sequential net = MakeMlp(16, {32, 24}, 4);
   net.Init(&rng);
-  PassEnvOverride env("all");
   auto compiled = InferenceEngine::Compile(net, {16}, EngineConfig{8});
   ASSERT_TRUE(compiled.ok());
   const InferenceEngine engine = std::move(compiled).value();
@@ -761,7 +752,7 @@ TEST(PackLiveRangesTest, OffsetsAreAlwaysAligned) {
 
 TEST(TensorArenaTest, MoveTransfersCommittedStorage) {
   TensorArena arena;
-  const TensorArena::BufferId id = arena.ReserveFloats(32);
+  const TensorArena::BufferId id = arena.PlaceFloats(0, 32, 0, 0);
   arena.Commit();
   float* data = arena.Floats(id);
   for (int i = 0; i < 32; ++i) data[i] = static_cast<float>(i);
@@ -774,7 +765,7 @@ TEST(TensorArenaTest, MoveTransfersCommittedStorage) {
   for (int i = 0; i < 32; ++i) EXPECT_EQ(data[i], static_cast<float>(i));
 
   TensorArena assigned;
-  assigned.ReserveInt8s(16);
+  assigned.PlaceInt8s(0, 16, 0, 0);
   assigned.Commit();
   assigned = std::move(moved);
   EXPECT_EQ(assigned.Floats(id), data);
