@@ -22,6 +22,7 @@
 #include <memory>
 #include <vector>
 
+#include "bench/nearest_rank.h"
 #include "src/compress/quantization.h"
 #include "src/core/metrics.h"
 #include "src/core/rng.h"
@@ -264,14 +265,6 @@ struct FrontierRow {
   double p99_ms = 0.0;
   double mean_batch = 0.0;
 };
-
-/// Exact \p q quantile (nearest rank) of \p sorted.
-double NearestRank(const std::vector<double>& sorted, double q) {
-  const size_t n = sorted.size();
-  size_t rank = static_cast<size_t>(std::ceil(q * static_cast<double>(n)));
-  rank = std::clamp<size_t>(rank, 1, n);
-  return sorted[rank - 1];
-}
 
 /// One frontier point on a one-worker Server with a zero cost model:
 /// every batch finishes the instant it starts on the simulated clock, so

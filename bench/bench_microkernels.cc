@@ -25,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/nearest_rank.h"
 #include "src/compress/quantization.h"
 #include "src/core/metrics.h"
 #include "src/core/rng.h"
@@ -46,14 +47,6 @@ struct Quantiles {
   double p50_ms = 0.0;
   double p99_ms = 0.0;
 };
-
-/// Exact \p q quantile (nearest rank) of \p sorted.
-double NearestRank(const std::vector<double>& sorted, double q) {
-  const size_t n = sorted.size();
-  size_t rank = static_cast<size_t>(std::ceil(q * static_cast<double>(n)));
-  rank = std::clamp<size_t>(rank, 1, n);
-  return sorted[rank - 1];
-}
 
 /// Runs \p fn `iters` times and returns the exact nearest-rank
 /// {p50_ms, p99_ms} of the per-call wall times. With fewer than 100

@@ -3,21 +3,23 @@
 // packed bytes, and Huffman-coded bytes per cell. A second table covers
 // the serving-path block formats (ggml-style q8/q4, one scale per
 // 32-element block) executed through the real InferenceEngine integer
-// GEMM, and a timing section reads q8-block activation quantization
-// latency quantiles back from the CounterRegistry histogram rather than
-// local timing plumbing.
+// GEMM, and a timing section reports exact nearest-rank latency quantiles
+// of q8/q4 activation quantization and of the compile-time weight path
+// (Transpose, q8/q4 block quantization of a 1024x1024 matrix).
 
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <vector>
 
+#include "bench/nearest_rank.h"
 #include "src/compress/quantization.h"
 #include "src/core/metrics.h"
+#include "src/core/status.h"
 #include "src/data/synthetic.h"
 #include "src/infer/engine.h"
 #include "src/nn/layers.h"
 #include "src/nn/train.h"
-#include "src/obs/counters.h"
 #include "src/optim/optimizer.h"
 #include "src/tensor/ops.h"
 
@@ -80,20 +82,21 @@ BlockCell MeasureBlockFormat(const Sequential& net, QuantizeFn&& quantize) {
   return cell;
 }
 
-/// p50/p99 ms of `iters` runs of \p fn, via the registry histogram.
+/// Prints the exact nearest-rank p50/p99 ms of `iters` timed runs of
+/// \p fn (after one warm run that touches every page).
 template <typename Fn>
-void TimeIntoHistogram(const char* name, int iters, Fn&& fn) {
-  obs::SharedHistogram* hist =
-      obs::CounterRegistry::Global().histogram("bench.quantize_ms");
-  hist->Reset();
-  fn();  // warm
+void TimeQuantiles(const char* name, int iters, Fn&& fn) {
+  fn();
+  std::vector<double> samples_ms;
+  samples_ms.reserve(static_cast<size_t>(iters));
   for (int it = 0; it < iters; ++it) {
     Stopwatch watch;
     fn();
-    hist->Record(watch.Seconds() * 1000.0);
+    samples_ms.push_back(watch.Seconds() * 1000.0);
   }
-  std::printf("%-22s p50 %.4f ms | p99 %.4f ms\n", name,
-              hist->Quantile(0.5), hist->Quantile(0.99));
+  std::sort(samples_ms.begin(), samples_ms.end());
+  std::printf("%-30s p50 %.4f ms | p99 %.4f ms\n", name,
+              NearestRank(samples_ms, 0.5), NearestRank(samples_ms, 0.99));
 }
 
 }  // namespace
@@ -164,16 +167,37 @@ int main() {
               EngineAccuracy(base, split, EngineNumeric::kInt4),
               static_cast<long long>(q4.packed_bytes), q4.max_err);
 
-  // Activation quantization latency at the E31 serving shape, quantiles
-  // from the registry histogram.
-  std::printf("\nactivation quantization 64x768 (registry histogram):\n");
+  // Quantization latency, exact quantiles over raw samples: activations
+  // at the E31 serving shape (what the int8/int4 engine quantizes per
+  // batch), and a 1024x1024 weight (what the compile-time fold pass runs
+  // per quantized layer of the wide MLP: Transpose, then the block
+  // quantizer on W^T).
+  std::printf("\nquantization latency (nearest-rank quantiles):\n");
   Tensor act({64, 768});
   act.FillGaussian(&rng, 1.0f);
   std::vector<int8_t> codes(64 * 768);
+  std::vector<uint8_t> nibbles(64 * 768 / 2);
   std::vector<float> scales(64 * 768 / kQuantBlock);
-  TimeIntoHistogram("per-block q8", 50, [&] {
+  TimeQuantiles("q8 activations 64x768", 200, [&] {
     Q8BlockQuantizeRowsInto(act.data(), 64, 768, codes.data(), scales.data());
   });
+  TimeQuantiles("q4 activations 64x768", 200, [&] {
+    Q4BlockQuantizeRowsInto(act.data(), 64, 768, nibbles.data(),
+                            scales.data());
+  });
+  Tensor weight({1024, 1024});
+  weight.FillGaussian(&rng, 0.05f);
+  int64_t sink = 0;
+  TimeQuantiles("transpose 1024x1024", 30, [&] {
+    sink += Transpose(weight).size();
+  });
+  TimeQuantiles("q8 weight 1024x1024", 30, [&] {
+    sink += Q8BlockQuantizeRows(weight).rows;
+  });
+  TimeQuantiles("q4 weight 1024x1024", 30, [&] {
+    sink += Q4BlockQuantizeRows(weight).rows;
+  });
+  DLSYS_CHECK(sink > 0, "timed calls produced nothing");
 
   std::printf("\nexpected shape: accuracy flat down to ~4 bits, cliff at "
               "1-2 bits; kmeans >= uniform at equal bits; size ~ bits/32; "

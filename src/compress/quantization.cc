@@ -4,8 +4,6 @@
 #include <cmath>
 #include <queue>
 
-#include "src/runtime/runtime.h"
-
 namespace dlsys {
 
 Tensor QuantizedTensor::Dequantize() const {
@@ -260,41 +258,6 @@ int64_t Q4BlockMatrix::PackedBytes() const {
              static_cast<int64_t>(sizeof(float));
 }
 
-void Q8BlockQuantizeRowInto(const float* row, int64_t cols, int8_t* values,
-                            float* scales) {
-  const int64_t kp = PadToQuantBlock(cols);
-  const int64_t nb = kp / kQuantBlock;
-  for (int64_t b = 0; b < nb; ++b) {
-    const int64_t j0 = b * kQuantBlock;
-    const int64_t j1 = std::min<int64_t>(j0 + kQuantBlock, cols);
-    float maxabs = 0.0f;
-    for (int64_t j = j0; j < j1; ++j) {
-      const float a = std::abs(row[j]);
-      maxabs = a > maxabs ? a : maxabs;
-    }
-    const float scale = maxabs > 0.0f ? maxabs / 127.0f : 1.0f;
-    const float inv = 1.0f / scale;
-    scales[b] = scale;
-    for (int64_t j = j0; j < j1; ++j) {
-      const long q = std::lround(row[j] * inv);
-      values[j] = static_cast<int8_t>(std::clamp<long>(q, -127, 127));
-    }
-    for (int64_t j = j1; j < j0 + kQuantBlock; ++j) values[j] = 0;
-  }
-}
-
-void Q8BlockQuantizeRowsInto(const float* x, int64_t rows, int64_t cols,
-                             int8_t* values, float* scales) {
-  const int64_t kp = PadToQuantBlock(cols);
-  const int64_t nb = kp / kQuantBlock;
-  ParallelFor(0, rows, 4, [=](int64_t r0, int64_t r1) {
-    for (int64_t i = r0; i < r1; ++i) {
-      Q8BlockQuantizeRowInto(x + i * cols, cols, values + i * kp,
-                             scales + i * nb);
-    }
-  });
-}
-
 Q8BlockMatrix Q8BlockQuantizeRows(const Tensor& t) {
   DLSYS_CHECK(t.rank() == 2, "Q8BlockQuantizeRows requires rank 2");
   Q8BlockMatrix q;
@@ -306,48 +269,6 @@ Q8BlockMatrix Q8BlockQuantizeRows(const Tensor& t) {
   Q8BlockQuantizeRowsInto(t.data(), q.rows, q.cols, q.values.data(),
                           q.scales.data());
   return q;
-}
-
-void Q4BlockQuantizeRowsInto(const float* x, int64_t rows, int64_t cols,
-                             uint8_t* values, float* scales) {
-  const int64_t kp = PadToQuantBlock(cols);
-  const int64_t nb = kp / kQuantBlock;
-  const int64_t row_bytes = kp / 2;
-  ParallelFor(0, rows, 4, [=](int64_t r0, int64_t r1) {
-    for (int64_t i = r0; i < r1; ++i) {
-      const float* row = x + i * cols;
-      uint8_t* vrow = values + i * row_bytes;
-      float* srow = scales + i * nb;
-      for (int64_t b = 0; b < nb; ++b) {
-        const int64_t j0 = b * kQuantBlock;
-        const int64_t j1 = std::min<int64_t>(j0 + kQuantBlock, cols);
-        float maxabs = 0.0f;
-        for (int64_t j = j0; j < j1; ++j) {
-          const float a = std::abs(row[j]);
-          maxabs = a > maxabs ? a : maxabs;
-        }
-        const float scale = maxabs > 0.0f ? maxabs / 7.0f : 1.0f;
-        const float inv = 1.0f / scale;
-        srow[b] = scale;
-        uint8_t* block = vrow + b * (kQuantBlock / 2);
-        // Pack code q+8: element t in byte t&15, low nibble for t<16,
-        // high nibble for t>=16. Pad elements keep code 8 (q = 0).
-        uint8_t codes[kQuantBlock];
-        for (int64_t t = 0; t < kQuantBlock; ++t) {
-          int32_t q4 = 0;
-          if (j0 + t < j1) {
-            const long q = std::lround(row[j0 + t] * inv);
-            q4 = static_cast<int32_t>(std::clamp<long>(q, -7, 7));
-          }
-          codes[t] = static_cast<uint8_t>(q4 + 8);
-        }
-        for (int64_t t = 0; t < kQuantBlock / 2; ++t) {
-          block[t] = static_cast<uint8_t>(codes[t] |
-                                          (codes[t + kQuantBlock / 2] << 4));
-        }
-      }
-    }
-  });
 }
 
 Q4BlockMatrix Q4BlockQuantizeRows(const Tensor& t) {

@@ -84,6 +84,28 @@ int64_t HuffmanBitLength(const std::vector<int64_t>& frequencies);
 // contribute exactly nothing to any dot product. These are the storage
 // formats of the inference engine's int8 and int4 paths (src/infer); the
 // codebook formats above serve the compression study instead.
+//
+// Block b's codes are defined by the plainest scalar formulation: m =
+// max|x| over the block, scanned in order from 0 with NaN elements
+// skipped; s = m / lim (1 for m = 0); q = clamp(std::lround(x * (1 / s)),
+// -lim, lim), lim = 127 (q8) or 7 (q4). lround's out-of-range results
+// (NaN, ±inf, |y| >= 2^63) are LONG_MIN on x86-64 glibc, so those
+// elements get -lim — including every element of a block whose max is
+// subnormal enough for s to underflow to 0 (then 1 / s = inf).
+//
+// The three quantizer bodies (Q8BlockQuantizeRowInto,
+// Q8BlockQuantizeRowsInto, Q4BlockQuantizeRowsInto) live in
+// src/tensor/int8_gemm.cc, a kernel-flags translation unit, written
+// branch-free so they vectorize, and equal that formulation bit for bit:
+// - the max maps NaN to +0 first; every operand is then +0, positive or
+//   +inf, floats that order exactly like their int32 bit patterns, so an
+//   integer max in any order gives the sequential scan's bit pattern;
+// - with a = |y| and t = trunc(a), a - t is exact for every float, so
+//   t + (a - t >= 0.5) is lround's half-away-from-zero magnitude, and
+//   clamping it to lim before restoring y's sign equals the clamp of the
+//   signed result;
+// - where !(a < 2^63) — NaN included — the code is -lim, as above.
+// tests/test_simd.cc pins the codes against a test-side lround reference.
 
 /// \brief Elements covered by one block scale.
 inline constexpr int64_t kQuantBlock = 32;

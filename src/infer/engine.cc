@@ -411,26 +411,10 @@ void InferenceEngine::RunStep(const Step& step, int64_t batch) const {
       }
       // Epilogue: bias, absorbed relu, and (under quant elimination) the
       // row quantization the consumer would otherwise redo.
-      const float* pb = node.bias.data();
-      const bool relu = node.relu_fused;
-      int8_t* oqv =
-          node.quant_out ? arena_.Int8s(step.qout_vals) : nullptr;
-      float* oqs =
-          node.quant_out ? arena_.Floats(step.qout_scales) : nullptr;
-      const int64_t kp_out = PadToQuantBlock(out_f);
-      ParallelFor(0, batch, 8, [=](int64_t r0, int64_t r1) {
-        for (int64_t i = r0; i < r1; ++i) {
-          float* row = out + i * out_f;
-          for (int64_t j = 0; j < out_f; ++j) {
-            const float v = row[j] + pb[j];
-            row[j] = relu ? (v > 0.0f ? v : 0.0f) : v;
-          }
-          if (oqv != nullptr) {
-            Q8BlockQuantizeRowInto(row, out_f, oqv + i * kp_out,
-                                   oqs + i * (kp_out / kQuantBlock));
-          }
-        }
-      });
+      BiasActQ8QuantizeRowsInto(
+          node.bias.data(), node.relu_fused, out, batch, out_f,
+          node.quant_out ? arena_.Int8s(step.qout_vals) : nullptr,
+          node.quant_out ? arena_.Floats(step.qout_scales) : nullptr);
       return;
     }
     case OpKind::kRelu: {

@@ -17,6 +17,9 @@
 /// vpmaddwd microkernels behind the dispatch registry, src/simd/dispatch.h)
 /// gives the exact same dot at any thread count, and the float epilogue
 /// follows one fixed order.
+///
+/// int8_gemm.cc also holds the bodies of the block quantizers declared in
+/// src/compress/quantization.h, so they build with the kernel flags.
 
 namespace dlsys {
 
@@ -40,15 +43,16 @@ void Q4BlockGemmTransBInto(const int8_t* a, const float* a_scales,
                            const uint8_t* b, const float* b_scales, float* c,
                            int64_t m, int64_t kp, int64_t n);
 
-/// \brief Reference for Q8BlockGemmTransBInto (bit-exact target).
-void NaiveQ8BlockGemmTransBInto(const int8_t* a, const float* a_scales,
-                                const int8_t* b, const float* b_scales,
-                                float* c, int64_t m, int64_t kp, int64_t n);
-
-/// \brief Reference for Q4BlockGemmTransBInto (bit-exact target).
-void NaiveQ4BlockGemmTransBInto(const int8_t* a, const float* a_scales,
-                                const uint8_t* b, const float* b_scales,
-                                float* c, int64_t m, int64_t kp, int64_t n);
+/// \brief The quantized Dense epilogue over an m x n row-major \p c, in
+/// place and row-parallel: c = act(c + bias) per element (act = relu when
+/// \p relu, else identity; the float chain of simd::BiasActEpilogue),
+/// then, when \p q_values is non-null, each finished row q8-block
+/// quantized by Q8BlockQuantizeRowInto into \p q_values (m x
+/// PadToQuantBlock(n)) and \p q_scales (m x PadToQuantBlock(n) / 32), the
+/// codes the next quantized layer reads under quant elimination.
+void BiasActQ8QuantizeRowsInto(const float* bias, bool relu, float* c,
+                               int64_t m, int64_t n, int8_t* q_values,
+                               float* q_scales);
 
 }  // namespace dlsys
 

@@ -25,8 +25,8 @@
 #include "src/optim/optimizer.h"
 #include "src/runtime/runtime.h"
 #include "src/simd/dispatch.h"
-#include "src/tensor/int8_gemm.h"
 #include "src/tensor/ops.h"
+#include "tests/block_gemm_reference.h"
 
 namespace dlsys {
 namespace {
@@ -120,6 +120,7 @@ TEST(InferenceEngineTest, MlpBitwiseMatchesSequentialAcrossThreads) {
   Rng rng(31);
   Sequential net = MakeMixedMlp();
   net.Init(&rng);
+  RandomizeVectorParams(&net, &rng);
   // A few cached forwards move the BatchNorm running statistics off their
   // initial values, so the inference path has something real to fold in.
   Tensor warm({32, 16});
@@ -174,6 +175,7 @@ TEST(InferenceEngineTest, RepeatedCallsAreBitwiseStable) {
   Rng rng(33);
   Sequential net = MakeMlp(16, {32, 24}, 4);
   net.Init(&rng);
+  RandomizeVectorParams(&net, &rng);
   auto compiled = InferenceEngine::Compile(net, {16}, EngineConfig{16});
   ASSERT_TRUE(compiled.ok());
   InferenceEngine engine = std::move(compiled).value();
@@ -198,6 +200,7 @@ TEST(InferenceEngineTest, BatchRowsMatchSingleExamplePredictions) {
   Rng rng(34);
   Sequential net = MakeMlp(16, {32}, 4);
   net.Init(&rng);
+  RandomizeVectorParams(&net, &rng);
   auto compiled = InferenceEngine::Compile(net, {16}, EngineConfig{8});
   ASSERT_TRUE(compiled.ok());
   InferenceEngine engine = std::move(compiled).value();
@@ -288,6 +291,7 @@ TEST(Int8EngineTest, DeterministicAcrossThreadCounts) {
   Rng rng(38);
   Sequential net = MakeMlp(16, {48}, 4);
   net.Init(&rng);
+  RandomizeVectorParams(&net, &rng);
   EngineConfig config;
   config.max_batch = 8;
   config.numeric = EngineNumeric::kInt8;
@@ -359,6 +363,7 @@ TEST(QuantizedEngineTest, DeterministicAcrossThreadCountsAndIsas) {
   Rng rng(40);
   Sequential net = MakeMlp(16, {48}, 4);
   net.Init(&rng);
+  RandomizeVectorParams(&net, &rng);
   Tensor x({8, 16});
   x.FillGaussian(&rng, 1.0f);
   const simd::Isa initial_isa = simd::ActiveIsa();

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <functional>
 #include <string>
 #include <utility>
@@ -22,6 +24,7 @@
 #include "src/simd/kernels.h"
 #include "src/tensor/int8_gemm.h"
 #include "src/tensor/ops.h"
+#include "tests/block_gemm_reference.h"
 
 namespace dlsys {
 namespace {
@@ -808,6 +811,198 @@ TEST(BlockQuantTest, QuantizeRowsIntoMatchesAllocatingPath) {
   EXPECT_EQ(std::memcmp(scales.data(), ref.scales.data(),
                         scales.size() * sizeof(float)),
             0);
+}
+
+
+// ------------------------------------- exact codes vs an lround reference
+
+/// The block quantizers' contract written the plainest way: per block,
+/// a sequential NaN-skipping max|x| from 0, s = max / lim (1 for an
+/// all-zero block), then per element std::lround(x * (1 / s)) clamped to
+/// [-lim, lim]. lround's out-of-range results (NaN, ±inf, |y| >= 2^63)
+/// are whatever this platform's libm returns, so the reference pins the
+/// library to today's platform behaviour rather than to a hand-written
+/// rule. Pad elements get code 0.
+void RefBlockQuantizeRow(const float* row, int64_t cols, long lim, int* q,
+                         float* scales) {
+  const int64_t kp = PadToQuantBlock(cols);
+  for (int64_t b = 0; b < kp / kQuantBlock; ++b) {
+    const int64_t j0 = b * kQuantBlock;
+    float maxabs = 0.0f;
+    for (int64_t j = j0; j < std::min(j0 + kQuantBlock, cols); ++j) {
+      const float a = std::abs(row[j]);
+      if (a > maxabs) maxabs = a;
+    }
+    const float scale =
+        maxabs > 0.0f ? maxabs / static_cast<float>(lim) : 1.0f;
+    const float inv = 1.0f / scale;
+    scales[b] = scale;
+    for (int64_t j = j0; j < j0 + kQuantBlock; ++j) {
+      q[j] = j < cols ? static_cast<int>(std::clamp(
+                            std::lround(row[j] * inv), -lim, lim))
+                      : 0;
+    }
+  }
+}
+
+/// Expects the three block quantizers (q8 single-row and row-parallel,
+/// q4 row-parallel with its nibble layout) to produce exactly the
+/// reference's codes and bit-identical scales on the rows x cols matrix
+/// \p x. Fills the outputs with garbage first, so every byte is checked.
+void ExpectCodesMatchReference(const std::vector<float>& x, int64_t rows,
+                               int64_t cols, const std::string& what) {
+  const int64_t kp = PadToQuantBlock(cols);
+  const int64_t nb = kp / kQuantBlock;
+  std::vector<int> q8(static_cast<size_t>(rows * kp));
+  std::vector<int> q4(static_cast<size_t>(rows * kp));
+  std::vector<float> s8(static_cast<size_t>(rows * nb));
+  std::vector<float> s4(static_cast<size_t>(rows * nb));
+  for (int64_t i = 0; i < rows; ++i) {
+    RefBlockQuantizeRow(x.data() + i * cols, cols, 127, q8.data() + i * kp,
+                        s8.data() + i * nb);
+    RefBlockQuantizeRow(x.data() + i * cols, cols, 7, q4.data() + i * kp,
+                        s4.data() + i * nb);
+  }
+  std::vector<int8_t> v8(static_cast<size_t>(rows * kp), 99);
+  std::vector<float> got_s8(s8.size(), -3.0f);
+  Q8BlockQuantizeRowsInto(x.data(), rows, cols, v8.data(), got_s8.data());
+  std::vector<int8_t> row8(static_cast<size_t>(rows * kp), 99);
+  std::vector<float> row_s8(s8.size(), -3.0f);
+  for (int64_t i = 0; i < rows; ++i) {
+    Q8BlockQuantizeRowInto(x.data() + i * cols, cols, row8.data() + i * kp,
+                           row_s8.data() + i * nb);
+  }
+  std::vector<uint8_t> v4(static_cast<size_t>(rows * kp / 2), 0xA5);
+  std::vector<float> got_s4(s4.size(), -3.0f);
+  Q4BlockQuantizeRowsInto(x.data(), rows, cols, v4.data(), got_s4.data());
+
+  EXPECT_TRUE(BitwiseEqual(got_s8.data(), s8.data(), rows * nb)) << what;
+  EXPECT_TRUE(BitwiseEqual(row_s8.data(), s8.data(), rows * nb)) << what;
+  EXPECT_TRUE(BitwiseEqual(got_s4.data(), s4.data(), rows * nb)) << what;
+  int64_t bad = 0;
+  for (int64_t e = 0; e < rows * kp && bad < 5; ++e) {
+    const size_t u = static_cast<size_t>(e);
+    const int64_t i = e / kp, j = e % kp;
+    const float xv = j < cols ? x[static_cast<size_t>(i * cols + j)] : 0.0f;
+    if (v8[u] != q8[u] || row8[u] != q8[u]) {
+      ++bad;
+      ADD_FAILURE() << what << ": q8 code at (" << i << ", " << j
+                    << ") x=" << xv << " want " << q8[u] << " rows-into "
+                    << int{v8[u]} << " row-into " << int{row8[u]};
+    }
+    // Nibble layout: byte t of a block holds element t (low nibble) and
+    // element 16 + t (high nibble) as code q + 8.
+    const int64_t b = j / kQuantBlock, t = j % kQuantBlock;
+    const uint8_t byte =
+        v4[static_cast<size_t>(i * kp / 2 + b * 16 + t % 16)];
+    const int nib = t < 16 ? (byte & 0x0F) : (byte >> 4);
+    if (nib != q4[u] + 8) {
+      ++bad;
+      ADD_FAILURE() << what << ": q4 code at (" << i << ", " << j
+                    << ") x=" << xv << " want " << q4[u] << " got "
+                    << nib - 8;
+    }
+  }
+}
+
+TEST(BlockQuantTest, CodesMatchLroundReferenceOnRandomizedRows) {
+  Rng rng(41);
+  const float kSpecials[] = {0.0f,
+                             -0.0f,
+                             std::numeric_limits<float>::quiet_NaN(),
+                             std::numeric_limits<float>::infinity(),
+                             -std::numeric_limits<float>::infinity()};
+  for (int threads : {1, 2, 8}) {
+    RuntimeConfig::SetThreads(threads);
+    for (int64_t cols : {int64_t{1}, int64_t{31}, int64_t{33}, int64_t{75},
+                         int64_t{1024}}) {
+      const int64_t rows = 9;
+      std::vector<float> x(static_cast<size_t>(rows * cols));
+      for (int64_t i = 0; i < rows; ++i) {
+        // Per-row magnitude 1e-6 .. 1e6; rows 6-8 also carry ±0, NaN
+        // and ±inf at random positions.
+        const double mag = std::pow(10.0, rng.Uniform(-6.0, 6.0));
+        for (int64_t j = 0; j < cols; ++j) {
+          x[static_cast<size_t>(i * cols + j)] =
+              static_cast<float>(rng.Gaussian() * mag);
+        }
+        if (i >= 6) {
+          for (int s = 0; s < 3; ++s) {
+            x[static_cast<size_t>(i * cols) + rng.Index(cols)] =
+                kSpecials[rng.Index(5)];
+          }
+        }
+      }
+      ExpectCodesMatchReference(x, rows, cols,
+                                "threads " + std::to_string(threads) +
+                                    " cols " + std::to_string(cols));
+    }
+  }
+  RuntimeConfig::SetThreads(1);
+}
+
+TEST(BlockQuantTest, CodesPinnedOnTiesSpecialsAndSubnormalBlocks) {
+  const float kNaN = std::numeric_limits<float>::quiet_NaN();
+  const float kInf = std::numeric_limits<float>::infinity();
+  const float kTiny = std::numeric_limits<float>::denorm_min();
+  for (long lim : {127L, 7L}) {
+    const float fl = static_cast<float>(lim);
+    // Row 0: max |x| = lim, so s = 1 exactly and x is its own y: exact
+    // ties round half away from zero.
+    // Row 1: a NaN and ±0 in a finite block, then a block holding +inf.
+    // Row 2: a block whose max |x| is subnormal (3 * denorm_min), so
+    // max / lim underflows to s = 0 and 1 / s = inf.
+    const int64_t cols = 64;
+    std::vector<float> x(static_cast<size_t>(3 * cols), 0.0f);
+    const float ties[] = {fl, 0.5f, -0.5f, 1.5f, -2.5f, 2.5f, -1.5f};
+    std::copy(std::begin(ties), std::end(ties), x.begin());
+    float* r1 = x.data() + cols;
+    r1[0] = fl;
+    r1[1] = kNaN;
+    r1[2] = -0.0f;
+    r1[3] = -fl;
+    r1[32] = kInf;
+    r1[33] = -3.0f;
+    r1[34] = 2.0f;
+    float* r2 = x.data() + 2 * cols;
+    r2[0] = 3 * kTiny;
+    r2[1] = -2 * kTiny;
+    r2[2] = kTiny;
+    ExpectCodesMatchReference(x, 3, cols, "lim " + std::to_string(lim));
+
+    // The same codes, spelled out.
+    std::vector<int8_t> v8(static_cast<size_t>(3 * cols));
+    std::vector<float> s8(6);
+    std::vector<uint8_t> v4(static_cast<size_t>(3 * cols / 2));
+    std::vector<float> s4(6);
+    Q8BlockQuantizeRowsInto(x.data(), 3, cols, v8.data(), s8.data());
+    Q4BlockQuantizeRowsInto(x.data(), 3, cols, v4.data(), s4.data());
+    auto code = [&](int64_t i, int64_t j) {
+      if (lim == 127) return int{v8[static_cast<size_t>(i * cols + j)]};
+      const uint8_t byte = v4[static_cast<size_t>(
+          i * cols / 2 + (j / 32) * 16 + (j % 32) % 16)];
+      return ((j % 32) < 16 ? (byte & 0x0F) : (byte >> 4)) - 8;
+    };
+    const float* s = lim == 127 ? s8.data() : s4.data();
+    EXPECT_EQ(s[0], 1.0f);
+    const int want_ties[] = {static_cast<int>(lim), 1, -1, 2, -3, 3, -2};
+    for (int64_t j = 0; j < 7; ++j) {
+      EXPECT_EQ(code(0, j), want_ties[j]) << "lim " << lim << " x=" << x[j];
+    }
+    EXPECT_EQ(code(1, 1), -lim) << "NaN";
+    EXPECT_EQ(code(1, 2), 0) << "-0";
+    EXPECT_EQ(code(1, 3), -lim);
+    EXPECT_EQ(s[3], kInf);
+    EXPECT_EQ(code(1, 32), -lim) << "+inf * (1 / inf) is NaN";
+    EXPECT_EQ(code(1, 33), 0);
+    EXPECT_EQ(code(1, 34), 0);
+    EXPECT_EQ(code(1, 40), 0) << "zero in a block with s = inf";
+    EXPECT_EQ(s[4], 0.0f);
+    for (int64_t j = 0; j < 32; ++j) {
+      EXPECT_EQ(code(2, j), -lim) << "subnormal block, j " << j;
+    }
+    EXPECT_EQ(s[5], 1.0f);  // all-zero block
+  }
 }
 
 }  // namespace
