@@ -1,7 +1,8 @@
 // Inference engine bench (E31): steady-state allocation counts and batch-1
 // latency of the arena-planned engine vs the training forward, the
 // engine's im2col conv vs the training forward's direct loop nest, the
-// engine's int8 (q8-block) vs fp32 dense GEMM at equal shapes, the
+// engine's int8 (q8-block) and int4 (q4-block) vs fp32 dense GEMM at
+// equal shapes (one thread, alternating, nearest-rank quantiles), the
 // micro-batching throughput/p99 frontier of a one-worker Server, and
 // (E36) the graph compiler's fused node count and liveness-packed
 // workspace on a funnel MLP. Results land in BENCH_inference.json.
@@ -20,6 +21,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "bench/nearest_rank.h"
@@ -203,16 +205,28 @@ ConvRow BenchConv() {
 
 // ---------------------------------------------------- 3. int8 vs fp32 GEMM
 
-struct GemmRow {
-  int64_t m = 0, k = 0, n = 0;
-  double fp32_ms = 0.0;
-  double int8_ms = 0.0;       ///< q8-block GEMM alone
-  double int8_full_ms = 0.0;  ///< activation quantization + q8-block GEMM
+/// Exact nearest-rank quantiles of one GEMM candidate's per-call times.
+struct GemmCell {
+  double p10_ms = 0.0;
+  double p50_ms = 0.0;
+  double p90_ms = 0.0;
 };
 
-/// The engine's int8 dense path: weights stored as q8 blocks, activations
-/// block-quantized on the fly, dequantization fused into the GEMM (fp32
-/// out, so there is no separate requantization epilogue).
+struct GemmRow {
+  int64_t m = 0, k = 0, n = 0;
+  int rounds = 0;
+  GemmCell fp32;
+  GemmCell q8;       ///< q8-block GEMM alone
+  GemmCell q8_full;  ///< activation quantization + q8-block GEMM
+  GemmCell q4;       ///< q4-block weights, q8 activations, GEMM alone
+  GemmCell q4_full;  ///< activation quantization + q4-block GEMM
+};
+
+/// The engine's int8/int4 dense paths: weights stored as q8 or q4 blocks,
+/// activations q8-block-quantized on the fly, dequantization fused into
+/// the GEMM (fp32 out, so there is no separate requantization epilogue).
+/// Timed at one runtime thread, the candidates alternating call batch by
+/// call batch so drift in machine speed lands on every side alike.
 GemmRow BenchInt8Gemm() {
   Rng rng(53);
   GemmRow row;
@@ -225,34 +239,57 @@ GemmRow BenchInt8Gemm() {
   a.FillGaussian(&rng, 1.0f);
   w.FillGaussian(&rng, 0.1f);
   std::vector<float> c(static_cast<size_t>(m * n));
-  const int iters = g_smoke ? 3 : 10;
-  row.fp32_ms = MedianMs(iters, [&] {
-    MatMulInto(a.data(), w.data(), c.data(), m, k, n);
-    g_sink = c[0];
-  });
 
   // Weights quantized per output feature: rows of the transposed matrix.
   Tensor wt({n, k});
   for (int64_t j = 0; j < n; ++j) {
     for (int64_t p = 0; p < k; ++p) wt[j * k + p] = w[p * n + j];
   }
-  const Q8BlockMatrix qw = Q8BlockQuantizeRows(wt);
-  const int64_t kp = qw.padded_cols;
+  const Q8BlockMatrix q8w = Q8BlockQuantizeRows(wt);
+  const Q4BlockMatrix q4w = Q4BlockQuantizeRows(wt);
+  const int64_t kp = q8w.padded_cols;
   std::vector<int8_t> qa(static_cast<size_t>(m * kp));
   std::vector<float> qa_scales(static_cast<size_t>(m * kp / kQuantBlock));
   Q8BlockQuantizeRowsInto(a.data(), m, k, qa.data(), qa_scales.data());
 
-  row.int8_ms = MedianMs(iters, [&] {
-    Q8BlockGemmTransBInto(qa.data(), qa_scales.data(), qw.values.data(),
-                          qw.scales.data(), c.data(), m, kp, n);
-    g_sink = c[0];
-  });
-  row.int8_full_ms = MedianMs(iters, [&] {
+  const auto fp32 = [&] {
+    MatMulInto(a.data(), w.data(), c.data(), m, k, n);
+  };
+  const auto quantize = [&] {
     Q8BlockQuantizeRowsInto(a.data(), m, k, qa.data(), qa_scales.data());
-    Q8BlockGemmTransBInto(qa.data(), qa_scales.data(), qw.values.data(),
-                          qw.scales.data(), c.data(), m, kp, n);
-    g_sink = c[0];
-  });
+  };
+  const auto q8 = [&] {
+    Q8BlockGemmTransBInto(qa.data(), qa_scales.data(), q8w.values.data(),
+                          q8w.scales.data(), c.data(), m, kp, n);
+  };
+  const auto q4 = [&] {
+    Q4BlockGemmTransBInto(qa.data(), qa_scales.data(), q4w.values.data(),
+                          q4w.scales.data(), c.data(), m, kp, n);
+  };
+  const std::vector<std::function<void()>> fns = {
+      fp32, q8, [&] { quantize(); q8(); }, q4, [&] { quantize(); q4(); }};
+
+  RuntimeConfig::SetThreads(1);
+  const int iters = g_smoke ? 2 : 5;
+  row.rounds = g_smoke ? 3 : 41;
+  std::vector<std::vector<double>> samples(fns.size());
+  for (int r = 0; r < row.rounds; ++r) {
+    for (size_t i = 0; i < fns.size(); ++i) {
+      Stopwatch watch;
+      for (int it = 0; it < iters; ++it) fns[i]();
+      g_sink = c[0];
+      samples[i].push_back(watch.Seconds() * 1000.0 / iters);
+    }
+  }
+  RuntimeConfig::SetThreads(4);
+  GemmCell* cells[] = {&row.fp32, &row.q8, &row.q8_full, &row.q4,
+                       &row.q4_full};
+  for (size_t i = 0; i < fns.size(); ++i) {
+    std::sort(samples[i].begin(), samples[i].end());
+    cells[i]->p10_ms = NearestRank(samples[i], 0.10);
+    cells[i]->p50_ms = NearestRank(samples[i], 0.50);
+    cells[i]->p90_ms = NearestRank(samples[i], 0.90);
+  }
   return row;
 }
 
@@ -389,13 +426,21 @@ int main(int argc, char** argv) {
       conv.im2col_ms, conv.forward_ms, conv.forward_ms / conv.im2col_ms);
 
   const GemmRow gemm = BenchInt8Gemm();
-  std::printf(
-      "gemm %lldx%lldx%lld  fp32 %.4f ms | q8-block %.4f ms (%.2fx) | "
-      "q8-block+quantize %.4f ms (%.2fx)\n",
-      static_cast<long long>(gemm.m), static_cast<long long>(gemm.k),
-      static_cast<long long>(gemm.n), gemm.fp32_ms, gemm.int8_ms,
-      gemm.fp32_ms / gemm.int8_ms, gemm.int8_full_ms,
-      gemm.fp32_ms / gemm.int8_full_ms);
+  std::printf("gemm %lldx%lldx%lld  1 thread, %d alternating rounds, "
+              "p50 [p10, p90] ms per call\n",
+              static_cast<long long>(gemm.m), static_cast<long long>(gemm.k),
+              static_cast<long long>(gemm.n), gemm.rounds);
+  const std::pair<const char*, const GemmCell*> gemm_cells[] = {
+      {"fp32", &gemm.fp32},
+      {"q8-block", &gemm.q8},
+      {"q8-block+quantize", &gemm.q8_full},
+      {"q4-block", &gemm.q4},
+      {"q4-block+quantize", &gemm.q4_full}};
+  for (const auto& [name, cell] : gemm_cells) {
+    std::printf("  %-18s %.4f [%.4f, %.4f] ms | %.2fx fp32\n", name,
+                cell->p50_ms, cell->p10_ms, cell->p90_ms,
+                gemm.fp32.p50_ms / cell->p50_ms);
+  }
 
   const FunnelRow funnel = BenchFunnel();
   std::printf("funnel        graph %lld nodes | packed workspace %lld bytes\n",
@@ -426,9 +471,13 @@ int main(int argc, char** argv) {
                "  \"conv\": {\"im2col_ms\": %.4f, \"forward_ms\": %.4f, "
                "\"speedup\": %.2f},\n"
                "  \"int8_gemm\": {\"m\": %lld, \"k\": %lld, \"n\": %lld, "
-               "\"fp32_ms\": %.4f,\n"
+               "\"threads\": 1, \"rounds\": %d, \"fp32_ms\": %.4f,\n"
                "                \"int8_ms\": %.4f, \"int8_full_ms\": %.4f, "
-               "\"speedup_raw\": %.2f, \"speedup_full\": %.2f},\n"
+               "\"int4_ms\": %.4f, \"int4_full_ms\": %.4f,\n"
+               "                \"fp32_p90_ms\": %.4f, \"int8_p90_ms\": %.4f, "
+               "\"int4_p90_ms\": %.4f,\n"
+               "                \"speedup_raw\": %.2f, "
+               "\"speedup_full\": %.2f},\n"
                "  \"pass_pipeline\": {\"funnel_nodes_fused\": %lld, "
                "\"funnel_packed_bytes\": %lld},\n"
                "  \"microbatch\": [\n",
@@ -439,9 +488,11 @@ int main(int argc, char** argv) {
                conv.im2col_ms, conv.forward_ms,
                conv.forward_ms / conv.im2col_ms,
                static_cast<long long>(gemm.m), static_cast<long long>(gemm.k),
-               static_cast<long long>(gemm.n), gemm.fp32_ms, gemm.int8_ms,
-               gemm.int8_full_ms, gemm.fp32_ms / gemm.int8_ms,
-               gemm.fp32_ms / gemm.int8_full_ms,
+               static_cast<long long>(gemm.n), gemm.rounds, gemm.fp32.p50_ms,
+               gemm.q8.p50_ms, gemm.q8_full.p50_ms, gemm.q4.p50_ms,
+               gemm.q4_full.p50_ms, gemm.fp32.p90_ms, gemm.q8.p90_ms,
+               gemm.q4.p90_ms, gemm.fp32.p50_ms / gemm.q8.p50_ms,
+               gemm.fp32.p50_ms / gemm.q8_full.p50_ms,
                static_cast<long long>(funnel.graph_nodes),
                static_cast<long long>(funnel.workspace_bytes));
   for (size_t i = 0; i < frontier.size(); ++i) {

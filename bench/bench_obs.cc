@@ -13,14 +13,19 @@
 // E38 (request tracing + attribution): the same 2% bar applied to the
 // fleet layer — a chaos run with request-scoped span emission, critical-
 // path attribution, and burn-rate alerting enabled ("traced") against
-// the identical run with tracing disabled ("untraced"), interleaved
-// min-of-reps. Tracing must also be a pure observer: the traced and
+// the identical run with tracing disabled ("untraced"). Each round runs
+// one untraced reference, one traced run and a second untraced run in a
+// rotating order; the overhead is the median over rounds of the traced
+// run's paired difference from the reference, and the median paired
+// difference of the two untraced runs is printed beside it as the A/A
+// noise floor. Tracing must also be a pure observer: the traced and
 // untraced FleetReportJson exports must be bitwise identical (enforced
 // in every mode — the sim is deterministic, so any divergence is a bug).
 //
 // Pass --smoke (or set DLSYS_BENCH_SMOKE=1) for a seconds-scale CI run.
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -154,12 +159,20 @@ std::vector<OverheadRow> BenchOverhead() {
 // ------------------------------------------------ E38: fleet tracing
 
 struct FleetTracingResult {
-  double untraced_ms = 0.0;  ///< min wall ms for the whole fleet run
-  double traced_ms = 0.0;
-  double overhead_pct = 0.0;
+  int rounds = 0;
+  double untraced_ms = 0.0;  ///< median wall ms of the reference runs
+  double traced_ms = 0.0;    ///< median wall ms of the traced runs
+  double overhead_pct = 0.0;  ///< median paired traced-vs-reference diff
+  double aa_noise_pct = 0.0;  ///< median paired untraced-vs-reference diff
+  double aa_max_pct = 0.0;    ///< largest |A/A| paired diff
   int64_t sim_events = 0;    ///< request spans on the sim track (traced)
   bool reports_equal = false;  ///< traced vs untraced FleetReportJson
 };
+
+double MedianOf(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
 
 /// One full chaos run, returning the wall time of Fleet::Run only (the
 /// build/deploy cost is identical in both modes and excluded).
@@ -222,28 +235,31 @@ FleetTracingResult BenchFleetTracing() {
   load.model = "m";
 
   FleetTracingResult result;
-  result.untraced_ms = 1e300;
-  result.traced_ms = 1e300;
+  result.rounds = g_smoke ? 2 : 15;
   std::string json_untraced, json_traced;
-  const int reps = g_smoke ? 2 : 7;
-  for (int r = 0; r < reps; ++r) {
-    // Alternate which mode goes first so slow system phases hit both.
-    for (int slot = 0; slot < 2; ++slot) {
-      const bool traced = ((slot + r) % 2) == 1;
+  std::vector<double> reference_ms, traced_ms, overhead, aa;
+  for (int r = 0; r < result.rounds; ++r) {
+    // Run 0 is the untraced reference, run 1 traced, run 2 the untraced
+    // A/A partner; the starting run rotates so no run always goes first.
+    double ms[3] = {0.0, 0.0, 0.0};
+    for (int slot = 0; slot < 3; ++slot) {
+      const int run = (slot + r) % 3;
+      const bool traced = run == 1;
       std::string json;
-      const double ms = OneFleetRunMs(config, scenario.value(), load, traced,
-                                      &json, &result.sim_events);
-      if (traced) {
-        result.traced_ms = std::min(result.traced_ms, ms);
-        json_traced = json;
-      } else {
-        result.untraced_ms = std::min(result.untraced_ms, ms);
-        json_untraced = json;
-      }
+      ms[run] = OneFleetRunMs(config, scenario.value(), load, traced, &json,
+                              &result.sim_events);
+      (traced ? json_traced : json_untraced) = json;
     }
+    reference_ms.push_back(ms[0]);
+    traced_ms.push_back(ms[1]);
+    overhead.push_back(100.0 * (ms[1] - ms[0]) / ms[0]);
+    aa.push_back(100.0 * (ms[2] - ms[0]) / ms[0]);
+    result.aa_max_pct = std::max(result.aa_max_pct, std::abs(aa.back()));
   }
-  result.overhead_pct =
-      100.0 * (result.traced_ms - result.untraced_ms) / result.untraced_ms;
+  result.untraced_ms = MedianOf(reference_ms);
+  result.traced_ms = MedianOf(traced_ms);
+  result.overhead_pct = MedianOf(overhead);
+  result.aa_noise_pct = MedianOf(aa);
   result.reports_equal =
       !json_traced.empty() && json_traced == json_untraced;
   return result;
@@ -275,8 +291,10 @@ int main(int argc, char** argv) {
   const FleetTracingResult fleet = BenchFleetTracing();
   std::printf(
       "e38 fleet     untraced %8.1f ms | traced %8.1f ms | overhead "
-      "%+6.2f%% | %lld sim events | reports %s\n",
-      fleet.untraced_ms, fleet.traced_ms, fleet.overhead_pct,
+      "%+6.2f%% (median of %d paired rounds) | A/A noise floor %+6.2f%% "
+      "(max |A/A| %.2f%%) | %lld sim events | reports %s\n",
+      fleet.untraced_ms, fleet.traced_ms, fleet.overhead_pct, fleet.rounds,
+      fleet.aa_noise_pct, fleet.aa_max_pct,
       static_cast<long long>(fleet.sim_events),
       fleet.reports_equal ? "bitwise-equal" : "DIVERGED");
 
@@ -299,10 +317,13 @@ int main(int argc, char** argv) {
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out,
-               "  ],\n  \"fleet_tracing\": {\"untraced_ms\": %.1f, "
-               "\"traced_ms\": %.1f, \"overhead_pct\": %.2f, "
-               "\"sim_events\": %lld, \"reports_bitwise_equal\": %s}\n}\n",
-               fleet.untraced_ms, fleet.traced_ms, fleet.overhead_pct,
+               "  ],\n  \"fleet_tracing\": {\"rounds\": %d, "
+               "\"untraced_ms\": %.1f, \"traced_ms\": %.1f, "
+               "\"overhead_pct\": %.2f, \"aa_noise_pct\": %.2f, "
+               "\"aa_max_pct\": %.2f, \"sim_events\": %lld, "
+               "\"reports_bitwise_equal\": %s}\n}\n",
+               fleet.rounds, fleet.untraced_ms, fleet.traced_ms,
+               fleet.overhead_pct, fleet.aa_noise_pct, fleet.aa_max_pct,
                static_cast<long long>(fleet.sim_events),
                fleet.reports_equal ? "true" : "false");
   std::fclose(out);
@@ -318,7 +339,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   // E38: request tracing + attribution + alerting must never perturb the
-  // simulated results, and on full runs must cost < 2% wall time.
+  // simulated results, and on full runs must cost < 2% wall time in the
+  // median paired round.
   if (!fleet.reports_equal) {
     std::printf("FAIL: traced fleet report diverged from untraced\n");
     return 1;

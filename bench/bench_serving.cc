@@ -8,8 +8,9 @@
 // bit for bit for a fixed seed. Engines execute for real on the server's
 // worker pool; DLSYS_THREADS stays at 1 so the pool's inter-op
 // parallelism is not serialized behind the global intra-op pool (see
-// DESIGN.md §2e). Pass --smoke (or DLSYS_BENCH_SMOKE=1) for a
-// seconds-scale CI run.
+// DESIGN.md §2e). Latency quantiles are exact nearest-rank quantiles of
+// the completions' simulated latencies, not histogram bucket edges. Pass
+// --smoke (or DLSYS_BENCH_SMOKE=1) for a seconds-scale CI run.
 
 #include <algorithm>
 #include <cstdint>
@@ -20,10 +21,10 @@
 #include <string>
 #include <vector>
 
+#include "bench/nearest_rank.h"
 #include "src/core/metrics.h"
 #include "src/core/rng.h"
 #include "src/nn/train.h"
-#include "src/obs/counters.h"
 #include "src/runtime/runtime.h"
 #include "src/serve/admission.h"
 #include "src/serve/loadgen.h"
@@ -60,14 +61,28 @@ ServerUnderTest MakeServer(const ServerConfig& config) {
   return sut;
 }
 
-/// The server records every completion's simulated latency into the
-/// registry histogram "serve.latency_ms"; benches read their p50/p99
-/// from there instead of keeping local LatencyHistogram copies. Reset
-/// before a run scopes the registry's view to that run. (A -DDLSYS_OBS=0
-/// build compiles the server's recording sites out, so the quantiles
-/// read as zero there.)
-obs::SharedHistogram* ServeLatency() {
-  return obs::CounterRegistry::Global().histogram("serve.latency_ms");
+/// Simulated latencies (finish - arrival) of \p server's completions that
+/// \p keep accepts, ascending: the samples exact quantiles are read from.
+template <typename Keep>
+std::vector<double> SortedLatencies(const Server& server, Keep keep) {
+  std::vector<double> lat;
+  for (const Server::Completion& c : server.completions()) {
+    if (keep(c)) lat.push_back(c.finish_ms - c.arrival_ms);
+  }
+  std::sort(lat.begin(), lat.end());
+  return lat;
+}
+
+std::vector<double> SortedLatencies(const Server& server) {
+  return SortedLatencies(server, [](const Server::Completion&) {
+    return true;
+  });
+}
+
+/// Exact nearest-rank quantile, an observed latency rather than a
+/// histogram bucket edge; 0 when nothing completed.
+double Quantile(const std::vector<double>& sorted, double q) {
+  return sorted.empty() ? 0.0 : NearestRank(sorted, q);
 }
 
 /// Offered rate that saturates the declared cost model at full batches.
@@ -118,9 +133,9 @@ std::vector<FrontierRow> BenchFrontier() {
       load.requests = g_smoke ? 200 : 4000;
       load.rate_rps = 0.8 * CapacityRps(config);  // feasible but busy
       load.model = "m";
-      ServeLatency()->Reset();
       const LoadReport report = RunOpenLoop(sut.server.get(), load);
       DLSYS_CHECK(report.completed == report.admitted, "lost requests");
+      const std::vector<double> lat = SortedLatencies(*sut.server);
 
       FrontierRow row;
       row.workers = workers;
@@ -129,8 +144,8 @@ std::vector<FrontierRow> BenchFrontier() {
       row.offered_rps = load.rate_rps;
       row.sim_rps = report.sim_throughput_rps;
       row.real_rps = report.real_throughput_rps;
-      row.p50_ms = ServeLatency()->Quantile(0.5);
-      row.p99_ms = ServeLatency()->Quantile(0.99);
+      row.p50_ms = Quantile(lat, 0.5);
+      row.p99_ms = Quantile(lat, 0.99);
       const MetricsReport m = sut.server->metrics();
       row.mean_batch = m.Get("serve.batches") > 0
                            ? m.Get("serve.admitted") / m.Get("serve.batches")
@@ -171,7 +186,6 @@ std::vector<ShedRow> BenchShedCurve() {
     load.requests = g_smoke ? 300 : 4000;
     load.rate_rps = mult * CapacityRps(config);
     load.model = "m";
-    ServeLatency()->Reset();
     const LoadReport report = RunOpenLoop(sut.server.get(), load);
 
     ShedRow row;
@@ -183,7 +197,7 @@ std::vector<ShedRow> BenchShedCurve() {
         report.completed > 0 ? static_cast<double>(report.deadline_missed) /
                                    static_cast<double>(report.completed)
                              : 0.0;
-    row.p99_ms = ServeLatency()->Quantile(0.99);
+    row.p99_ms = Quantile(SortedLatencies(*sut.server), 0.99);
     row.goodput_rps =
         report.duration_ms > 0.0
             ? static_cast<double>(report.completed - report.deadline_missed) /
@@ -242,22 +256,18 @@ SwapResult BenchHotSwap() {
   result.served_v1 = static_cast<int64_t>(m.Get("serve.m.served_v1"));
   result.served_v2 = static_cast<int64_t>(m.Get("serve.m.served_v2"));
 
-  // The swap windows slice completions by request id after the fact, so
-  // they are recorded here rather than inside the server; they still live
-  // in the registry so one ExportJson carries every serving histogram.
-  obs::CounterRegistry& reg = obs::CounterRegistry::Global();
-  obs::SharedHistogram* windows[3] = {reg.histogram("serve.swap.w0"),
-                                      reg.histogram("serve.swap.w1"),
-                                      reg.histogram("serve.swap.w2")};
-  for (obs::SharedHistogram* w : windows) w->Reset();
+  // The swap windows slice completions by request id into thirds.
   const int64_t third = load.requests / 3;
-  for (const Server::Completion& c : server->completions()) {
-    const int64_t w = std::min<int64_t>(c.id / third, 2);
-    windows[w]->Record(c.finish_ms - c.arrival_ms);
-  }
-  result.p99_before_ms = windows[0]->Quantile(0.99);
-  result.p99_during_ms = windows[1]->Quantile(0.99);
-  result.p99_after_ms = windows[2]->Quantile(0.99);
+  const auto window_p99 = [&](int64_t w) {
+    const std::vector<double> lat =
+        SortedLatencies(*server, [&](const Server::Completion& c) {
+          return std::min<int64_t>(c.id / third, 2) == w;
+        });
+    return Quantile(lat, 0.99);
+  };
+  result.p99_before_ms = window_p99(0);
+  result.p99_during_ms = window_p99(1);
+  result.p99_after_ms = window_p99(2);
   return result;
 }
 
@@ -339,8 +349,12 @@ QosRun BenchTenantMix(const std::string& mode, bool use_slots, bool fair,
     row.admitted = per.admitted;
     row.shed = per.shed;
     row.goodput_rps = report.goodput_rps.at(tenant);
-    row.p50_ms = per.latency.Quantile(0.5);
-    row.p99_ms = per.latency.Quantile(0.99);
+    const std::vector<double> lat =
+        SortedLatencies(*sut.server, [&tenant](const Server::Completion& c) {
+          return c.tenant == tenant;
+        });
+    row.p50_ms = Quantile(lat, 0.5);
+    row.p99_ms = Quantile(lat, 0.99);
     run.tenants.push_back(row);
   }
   return run;

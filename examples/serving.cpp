@@ -120,9 +120,8 @@ int main() {
               static_cast<long long>(m.Get("serve.admitted")) -
                   static_cast<long long>(server->completions().size()));
   std::printf("latency           p50 %.3f ms | p99 %.3f ms | max %.3f ms\n",
-              server->latency_histogram().Quantile(0.5),
-              server->latency_histogram().Quantile(0.99),
-              server->latency_histogram().max_ms());
+              m.Get("serve.latency.p50_ms"), m.Get("serve.latency.p99_ms"),
+              m.Get("serve.latency.max_ms"));
 
   // ------------------------------------------------- overload behavior
   // Same server shape, but offered load at 3x the cost model's capacity

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdio>
+#include <deque>
 #include <utility>
 
 #include "src/core/rng.h"
@@ -29,6 +30,72 @@ double Percentile(std::vector<double>* values, double p) {
   if (idx >= n) idx = n - 1;
   return (*values)[idx];
 }
+
+/// Fleet-side record of one admitted, not-yet-delivered request.
+struct PendingReq {
+  double client_t_ms = 0.0;
+  double client_deadline_ms = 0.0;  ///< absolute end-to-end deadline
+  double return_hop_ms = 0.0;
+  FleetReport::TenantRow* tenant = nullptr;  ///< null when untenanted
+  bool live = false;
+};
+
+/// A replica's pending requests keyed by server id. A server hands out
+/// ids one by one in Submit order, so the table is a window of slots
+/// [base, base + size) that grows at the back as requests are admitted
+/// and shrinks at the front as the oldest are delivered. Ids the window
+/// does not hold live (shed requests, or completions of work that died
+/// in a crash) look up as null.
+class PendingTable {
+ public:
+  bool empty() const { return live_ == 0; }
+  int64_t size() const { return live_; }
+
+  void Insert(int64_t id, const PendingReq& req) {
+    if (slots_.empty()) base_ = id;
+    DLSYS_CHECK(id - base_ >= static_cast<int64_t>(slots_.size()),
+                "pending ids must be admitted in increasing order");
+    slots_.resize(static_cast<size_t>(id - base_ + 1));
+    PendingReq& slot = slots_[static_cast<size_t>(id - base_)];
+    slot = req;
+    slot.live = true;
+    ++live_;
+  }
+
+  /// The live request with server id \p id, or null.
+  PendingReq* Find(int64_t id) {
+    if (id < base_ || id >= base_ + static_cast<int64_t>(slots_.size())) {
+      return nullptr;
+    }
+    PendingReq& slot = slots_[static_cast<size_t>(id - base_)];
+    return slot.live ? &slot : nullptr;
+  }
+
+  /// Retires \p req, a live entry Find returned.
+  void Erase(PendingReq* req) {
+    req->live = false;
+    --live_;
+    while (!slots_.empty() && !slots_.front().live) {
+      slots_.pop_front();
+      ++base_;
+    }
+  }
+
+  /// Calls \p fn on every live entry, then empties the table.
+  template <typename Fn>
+  void Clear(Fn fn) {
+    for (const PendingReq& req : slots_) {
+      if (req.live) fn(req);
+    }
+    slots_.clear();
+    live_ = 0;
+  }
+
+ private:
+  std::deque<PendingReq> slots_;
+  int64_t base_ = 0;  ///< server id of slots_.front()
+  int64_t live_ = 0;
+};
 
 void AppendI(std::string* out, const char* key, int64_t v, bool comma = true) {
   char buf[96];
@@ -229,14 +296,6 @@ struct Fleet::Replica {
     kDown,          ///< crashed; restarting, usable at ready_ms
   };
 
-  /// Fleet-side record of one admitted, not-yet-delivered request.
-  struct PendingReq {
-    double client_t_ms = 0.0;
-    double client_deadline_ms = 0.0;  ///< absolute end-to-end deadline
-    double return_hop_ms = 0.0;
-    std::string tenant;  ///< empty when the load is untenanted
-  };
-
   std::unique_ptr<ModelRegistry> registry;
   std::unique_ptr<Server> server;
   State state = State::kInactive;
@@ -244,8 +303,7 @@ struct Fleet::Replica {
   int64_t incarnation = 0;  ///< completed recoveries; doubles as the
                             ///< injector generation for crash draws
   double net_scale = 1.0;   ///< slow-partition latency factor
-  size_t harvested = 0;     ///< server completions consumed so far
-  std::map<int64_t, PendingReq> pending;
+  PendingTable pending;
   // Canary accounting, reset at each rollout.
   int64_t offered_since_rollout = 0;
   int64_t degraded_since_rollout = 0;
@@ -341,8 +399,17 @@ Result<FleetReport> Fleet::Run(const ChaosScenario& scenario,
   auto snap = replicas_[0]->registry->Acquire(model_);
   const int64_t in_elems = snap ? snap->in_elems : 0;
   snap.reset();  // payloads only need the size; don't pin a version
-  Tensor example({in_elems});
+  // No fleet decision reads an engine output, so request payloads come
+  // from a small seeded pool drawn once: request rid carries
+  // payload_pool[rid % kPayloadPool].
+  constexpr int64_t kPayloadPool = 64;
+  std::vector<Tensor> payload_pool;
+  payload_pool.reserve(kPayloadPool);
   Rng payloads(load.seed ^ 0xF1EE7D00DULL);
+  for (int64_t i = 0; i < kPayloadPool; ++i) {
+    payload_pool.emplace_back(Shape{in_elems});
+    payload_pool.back().FillGaussian(&payloads, 1.0f);
+  }
 
   FleetReport report;
   report.scenario = scenario.name;
@@ -370,7 +437,10 @@ Result<FleetReport> Fleet::Run(const ChaosScenario& scenario,
     if (idx >= windows.size()) windows.resize(idx + 1);
     return windows[idx];
   };
+  // Every delivery records at most one latency and one path record.
   std::vector<double> all_lat;
+  all_lat.reserve(arrivals.size());
+  report.path_records.reserve(arrivals.size());
 
   // ---- critical-path attribution + burn-rate alerting -------------
   obs::AttributionAggregator aggregator(config_.attribution);
@@ -385,7 +455,7 @@ Result<FleetReport> Fleet::Run(const ChaosScenario& scenario,
     int replica = -1;
     int64_t incarnation = 0;
     double finish_ms = 0.0;  ///< server-side finish; 0 for dead routes
-    std::string tenant;      ///< empty when the load is untenanted
+    FleetReport::TenantRow* tenant = nullptr;  ///< null when untenanted
     /// Critical-path boundary stamps, valid when has_record. Built at
     /// harvest but fed to the aggregator/alerter only at finalize, when
     /// the delivery is known to have survived crash invalidation.
@@ -412,11 +482,11 @@ Result<FleetReport> Fleet::Run(const ChaosScenario& scenario,
     if (d.ok) {
       ++w.ok;
       ++report.completed_ok;
-      if (!d.tenant.empty()) ++report.tenants[d.tenant].completed_ok;
+      if (d.tenant != nullptr) ++d.tenant->completed_ok;
     } else {
       ++w.missed;
       ++report.missed;
-      if (!d.tenant.empty()) ++report.tenants[d.tenant].missed;
+      if (d.tenant != nullptr) ++d.tenant->missed;
       if (canary.active && d.replica == canary.replica) {
         ++replicas_[static_cast<size_t>(d.replica)]->degraded_since_rollout;
       }
@@ -447,22 +517,22 @@ Result<FleetReport> Fleet::Run(const ChaosScenario& scenario,
     }
   };
 
+  std::vector<Server::Completion> landed;  // harvest's scratch
   auto harvest = [&](int slot) {
     Replica& r = *replicas_[static_cast<size_t>(slot)];
-    const std::vector<Server::Completion>& done = r.server->completions();
-    for (size_t i = r.harvested; i < done.size(); ++i) {
-      const Server::Completion& c = done[i];
-      auto it = r.pending.find(c.id);
-      if (it == r.pending.end()) continue;  // pre-crash id reused: ignore
+    r.server->TakeCompletions(&landed);
+    for (const Server::Completion& c : landed) {
+      PendingReq* p = r.pending.Find(c.id);
+      if (p == nullptr) continue;  // died in a crash: already counted
       Delivery d;
-      d.deliver_ms = c.finish_ms + it->second.return_hop_ms;
-      d.latency_ms = d.deliver_ms - it->second.client_t_ms;
-      d.ok = d.deliver_ms <= it->second.client_deadline_ms;
+      d.deliver_ms = c.finish_ms + p->return_hop_ms;
+      d.latency_ms = d.deliver_ms - p->client_t_ms;
+      d.ok = d.deliver_ms <= p->client_deadline_ms;
       d.record_latency = true;
       d.replica = slot;
       d.incarnation = r.incarnation;
       d.finish_ms = c.finish_ms;
-      d.tenant = it->second.tenant;
+      d.tenant = p->tenant;
       // Quantize the path boundaries to integer sim-ns with the same
       // quantizer the sim-track spans use, so the decomposition sums
       // bitwise to the rendered end-to-end span.
@@ -471,7 +541,7 @@ Result<FleetReport> Fleet::Run(const ChaosScenario& scenario,
       d.record.replica = slot;
       d.record.incarnation = r.incarnation;
       d.record.slot = c.slot;
-      d.record.send_ns = obs::SimNs(it->second.client_t_ms);
+      d.record.send_ns = obs::SimNs(p->client_t_ms);
       d.record.admit_ns = obs::SimNs(c.arrival_ms);
       d.record.quota_open_ns = obs::SimNs(c.quota_open_ms);
       d.record.dispatch_ns = obs::SimNs(c.dispatch_ms);
@@ -480,9 +550,8 @@ Result<FleetReport> Fleet::Run(const ChaosScenario& scenario,
       d.record.deadline_ok = d.ok;
       d.has_record = true;
       outstanding.push_back(d);
-      r.pending.erase(it);
+      r.pending.Erase(p);
     }
-    r.harvested = done.size();
   };
 
   auto crash = [&](int slot, double at_ms) {
@@ -494,12 +563,11 @@ Result<FleetReport> Fleet::Run(const ChaosScenario& scenario,
     // (stamped to finish after the crash instant).
     report.dropped_queued += r.server->DropQueued();
     WindowAcc& w = window_at(at_ms);
-    w.missed += static_cast<int64_t>(r.pending.size());
-    report.missed += static_cast<int64_t>(r.pending.size());
-    for (const auto& [id, p] : r.pending) {
-      if (!p.tenant.empty()) ++report.tenants[p.tenant].missed;
-    }
-    r.pending.clear();
+    w.missed += r.pending.size();
+    report.missed += r.pending.size();
+    r.pending.Clear([](const PendingReq& p) {
+      if (p.tenant != nullptr) ++p.tenant->missed;
+    });
     for (Delivery& d : outstanding) {
       if (d.replica == slot && d.incarnation == r.incarnation &&
           d.finish_ms > at_ms) {
@@ -530,7 +598,6 @@ Result<FleetReport> Fleet::Run(const ChaosScenario& scenario,
       auto server = Server::Create(r.registry.get(), config_.server);
       if (!server.ok()) return server.status();
       r.server = std::move(server).value();
-      r.harvested = 0;
       Status pub = republish(slot);
       if (!pub.ok()) return pub;
     }
@@ -840,7 +907,7 @@ Result<FleetReport> Fleet::Run(const ChaosScenario& scenario,
         d.record_latency = false;
         d.replica = pick;
         d.incarnation = r.incarnation;
-        d.tenant = tenant;
+        d.tenant = trow;
         outstanding.push_back(d);
         continue;
       }
@@ -852,17 +919,15 @@ Result<FleetReport> Fleet::Run(const ChaosScenario& scenario,
           "fleet.route", "fleet", obs::SimNs(t), obs::SimNs(ta) - obs::SimNs(t),
           rid, obs::ComponentSpanId(rid, obs::PathComponent::kRouteHop),
           obs::RequestSpanId(rid));
-      example.FillGaussian(&payloads, 1.0f);
       const obs::RequestTrace rtrace{rid, r.incarnation};
-      const Server::SubmitResult sr =
-          r.server->Submit(model_, example, ta, budget > 0.0 ? budget : 1e-9,
-                           tenant, &rtrace);
+      const Server::SubmitResult sr = r.server->Submit(
+          model_, payload_pool[static_cast<size_t>(rid % kPayloadPool)], ta,
+          budget > 0.0 ? budget : 1e-9, tenant, &rtrace);
       const bool admitted = sr.outcome == Server::Outcome::kAdmitted;
       if (admitted) {
         ++report.admitted;
         if (trow != nullptr) ++trow->admitted;
-        r.pending[sr.id] =
-            Replica::PendingReq{t, t + deadline_ms, ret_ms, tenant};
+        r.pending.Insert(sr.id, PendingReq{t, t + deadline_ms, ret_ms, trow});
       } else {
         ++aw.shed;
         if (trow != nullptr) ++trow->shed;

@@ -102,12 +102,13 @@ const char* ShedReasonName(ShedReason reason) {
   return "unknown";
 }
 
-AdmissionDecision DecideAdmission(const ServerConfig& config,
+AdmissionDecision DecideAdmission(int64_t queue_capacity,
+                                  const ServiceCostModel& cost,
                                   const AdmissionInputs& in) {
   if (in.draining) {
     return AdmissionDecision::kShedDraining;
   }
-  if (in.queue_depth >= config.queue_capacity) {
+  if (in.queue_depth >= queue_capacity) {
     return AdmissionDecision::kShedQueueFull;
   }
   // Earliest the request's batch can start: when the batch is ready to
@@ -115,7 +116,7 @@ AdmissionDecision DecideAdmission(const ServerConfig& config,
   const double predicted_start =
       std::max({in.batch_ready_ms, in.earliest_worker_free_ms, in.arrival_ms});
   const double predicted_finish =
-      predicted_start + EstimateServiceMs(config.cost, in.prospective_batch);
+      predicted_start + EstimateServiceMs(cost, in.prospective_batch);
   if (predicted_finish > in.arrival_ms + in.deadline_budget_ms) {
     return AdmissionDecision::kShedDeadline;
   }

@@ -157,9 +157,11 @@ struct AdmissionInputs {
 };
 
 /// \brief Pure admission decision: drain state first (a draining replica
-/// takes nothing new), then the bounded queue, then deadline feasibility
-/// under the cost model. Deterministic.
-AdmissionDecision DecideAdmission(const ServerConfig& config,
+/// takes nothing new), then the bounded queue (\p queue_capacity), then
+/// deadline feasibility under \p cost — the declared model with any
+/// fault scale already applied. Deterministic.
+AdmissionDecision DecideAdmission(int64_t queue_capacity,
+                                  const ServiceCostModel& cost,
                                   const AdmissionInputs& in);
 
 }  // namespace dlsys

@@ -8,10 +8,10 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "src/serve/admission.h"
 #include "src/serve/registry.h"
-#include "src/tensor/tensor.h"
 
 /// \file scheduler.h
 /// \brief Multi-tenant QoS scheduler: which queued request fills a freed
@@ -64,7 +64,7 @@ struct SlotRequest {
   /// this boundary.
   double quota_open_ms = 0.0;
   std::shared_ptr<ModelSnapshot> snap;  ///< version bound at admission
-  Tensor input;              ///< flat copy, (in_elems)
+  std::vector<float> input;  ///< flat copy of the example, snap->in_elems
 };
 
 /// \brief Priority + quota + DWFQ selection over per-tenant FIFO queues.

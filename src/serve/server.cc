@@ -219,9 +219,7 @@ Server::SubmitResult Server::Submit(const std::string& model,
     in.earliest_worker_free_ms = *std::min_element(free.begin(), free.end());
   }
 
-  ServerConfig decision_config = config_;
-  decision_config.cost = scaled_cost;
-  switch (DecideAdmission(decision_config, in)) {
+  switch (DecideAdmission(config_.queue_capacity, scaled_cost, in)) {
     case AdmissionDecision::kShedQueueFull:
       ++ts.shed_queue_full;
       DLSYS_COUNTER_ADD("serve.shed.queue_full", 1);
@@ -261,9 +259,7 @@ Server::SubmitResult Server::Submit(const std::string& model,
   // (batch) wait in the decomposition.
   req.quota_open_ms = arrival_ms;
   req.deadline_ms = arrival_ms + budget;
-  req.input = Tensor({snap->in_elems});
-  std::copy(example.data(), example.data() + snap->in_elems,
-            req.input.data());
+  req.input.assign(example.data(), example.data() + snap->in_elems);
   req.snap = std::move(snap);
   if (slot_mode) {
     req.priority = scheduler_->PolicyFor(tenant_name).priority;
@@ -503,7 +499,7 @@ void Server::StageBatch(std::vector<SlotRequest> members, int worker,
   const int64_t in_elems = task.snap->in_elems;
   float* staging = task.snap->replicas[worker].in_staging.data();
   for (size_t j = 0; j < members.size(); ++j) {
-    std::copy(members[j].input.data(), members[j].input.data() + in_elems,
+    std::copy(members[j].input.begin(), members[j].input.end(),
               staging + static_cast<int64_t>(j) * in_elems);
   }
   task.members = std::move(members);
@@ -576,7 +572,6 @@ void Server::FlushWave() {
         DLSYS_COUNTER_ADD("serve.deadline_missed", 1);
       }
       ts.latency.Record(latency);
-      latency_.Record(latency);
       DLSYS_HISTOGRAM_RECORD("serve.latency_ms", latency);
       DLSYS_COUNTER_ADD("serve.completed", 1);
       // The request's whole life on the simulated-clock track, keyed by
@@ -624,6 +619,11 @@ void Server::FlushWave() {
   wave_.clear();
 }
 
+void Server::TakeCompletions(std::vector<Completion>* out) {
+  out->clear();
+  out->swap(completions_);
+}
+
 MetricsReport Server::metrics() const {
   MetricsReport report;
   TenantStats total;
@@ -634,6 +634,7 @@ MetricsReport Server::metrics() const {
     total.shed_queue_full += ts.shed_queue_full;
     total.shed_deadline += ts.shed_deadline;
     total.shed_draining += ts.shed_draining;
+    total.latency.Merge(ts.latency);
     const std::string prefix = "serve.tenant." + name;
     report.Set(prefix + ".offered", static_cast<double>(ts.offered));
     report.Set(prefix + ".admitted", static_cast<double>(ts.admitted));
@@ -667,7 +668,7 @@ MetricsReport Server::metrics() const {
                  static_cast<double>(count));
     }
   }
-  latency_.ReportInto(&report, "serve.latency");
+  total.latency.ReportInto(&report, "serve.latency");
   measured_.ReportInto(&report, "serve.measured");
   return report;
 }

@@ -203,10 +203,15 @@ class Server {
 
   /// \brief Current simulated time.
   double clock_ms() const { return clock_ms_; }
-  /// \brief All completions so far, in dispatch order.
+  /// \brief Every completion since the server was built (or since the
+  /// last TakeCompletions), in dispatch order.
   const std::vector<Completion>& completions() const { return completions_; }
-  /// \brief Simulated request latency (finish - arrival) distribution.
-  const LatencyHistogram& latency_histogram() const { return latency_; }
+  /// \brief Moves those completions into \p out (its old contents are
+  /// discarded) and leaves completions() empty. The two vectors trade
+  /// storage, so a caller that takes completions as they land, as the
+  /// fleet does every tick, keeps neither an unbounded history nor a
+  /// growing buffer.
+  void TakeCompletions(std::vector<Completion>* out);
   /// \brief The underlying registry (for direct Acquire/Publish).
   ModelRegistry* registry() const { return registry_; }
   /// \brief The validated configuration.
@@ -317,7 +322,6 @@ class Server {
   std::vector<std::vector<SlotRequest>> loaded_;
 
   std::vector<Completion> completions_;
-  LatencyHistogram latency_;
   LatencyHistogram measured_;
   int64_t dropped_queued_ = 0;
   int64_t no_such_model_ = 0;

@@ -4,7 +4,8 @@
 // acceptance criteria — SLO recovery after a crash storm and after a
 // bad-version rollout with auto-rollback, plus bit-for-bit replay of the
 // exported metrics JSON and the sim-clock trace slice at DLSYS_THREADS
-// 1 vs 8.
+// 1 vs 8, and request conservation and replay over seeded random
+// configs, fault schedules and loads.
 
 #include <gtest/gtest.h>
 
@@ -68,14 +69,21 @@ TraceLoadConfig TestLoad(double duration_ms = 12'000.0,
   return load;
 }
 
+Result<FleetReport> RunFleetWithNet(const FleetConfig& config,
+                                    const ChaosScenario& scenario,
+                                    const TraceLoadConfig& load,
+                                    uint64_t net_seed) {
+  auto fleet = Fleet::Create(config);
+  if (!fleet.ok()) return fleet.status();
+  Status deployed = fleet.value()->Deploy("m", MakeNet(net_seed), {16});
+  if (!deployed.ok()) return deployed;
+  return fleet.value()->Run(scenario, load);
+}
+
 Result<FleetReport> RunFleet(const FleetConfig& config,
                              const ChaosScenario& scenario,
                              const TraceLoadConfig& load) {
-  auto fleet = Fleet::Create(config);
-  if (!fleet.ok()) return fleet.status();
-  Status deployed = fleet.value()->Deploy("m", MakeNet(3), {16});
-  if (!deployed.ok()) return deployed;
-  return fleet.value()->Run(scenario, load);
+  return RunFleetWithNet(config, scenario, load, 3);
 }
 
 // --------------------------------------------------------------- router
@@ -726,6 +734,162 @@ TEST(AttributionFleetTest, SlowPartitionAlertsRouteHopDominant) {
   EXPECT_EQ(first.dominant, obs::PathComponent::kRouteHop);
   EXPECT_LE(first.t_ms, r.fault_start_ms + 2000.0)
       << "detection should land within a couple of slow buckets";
+}
+
+// ------------------------------------------ randomized fleet properties
+
+/// One random fleet case: config, fault schedule and load drawn from a
+/// seed. Every knob stays inside its validated range, and the sizes stay
+/// small enough that 24 cases x 3 runs finish in seconds under the
+/// sanitizers.
+struct RandomFleetCase {
+  FleetConfig config;
+  ChaosScenario scenario;
+  TraceLoadConfig load;
+};
+
+RandomFleetCase DrawFleetCase(uint64_t seed) {
+  Rng rng(seed * 0x9E3779B97F4A7C15ULL + 17);
+  const auto pick = [&](int n) { return static_cast<int>(rng.Index(n)); };
+  RandomFleetCase c;
+  FleetConfig& f = c.config;
+  f.replica_slots = 2 + pick(4);
+  f.initial_replicas = 1 + pick(f.replica_slots);
+  f.server.workers = 1 + pick(3);
+  f.server.batch.max_batch = 1 + pick(8);
+  f.server.queue_capacity = f.server.batch.max_batch * (1 + pick(8));
+  f.server.batch.max_delay_ms = rng.Uniform(0.0, 2.0);
+  f.server.cost.fixed_ms = rng.Uniform(0.2, 2.0);
+  f.server.cost.per_example_ms = rng.Uniform(0.05, 0.5);
+  f.server.default_deadline_ms = rng.Uniform(10.0, 80.0);
+  f.route = static_cast<RoutePolicy>(pick(3));
+  f.autoscale.policy = static_cast<ScalePolicy>(pick(3));
+  f.autoscale.min_replicas = 1 + pick(f.replica_slots);
+  f.autoscale.max_replicas = f.replica_slots;
+  f.autoscale.decide_interval_ms = rng.Uniform(250.0, 1000.0);
+  f.autoscale.provision_lag_ms = rng.Uniform(200.0, 1500.0);
+  f.autoscale.target_utilization = rng.Uniform(0.2, 0.9);
+  f.recovery = pick(2) == 0 ? FleetRecovery::kCheckpointedRestart
+                            : FleetRecovery::kColdReplace;
+  f.restart_ms = rng.Uniform(100.0, 1500.0);
+  f.replace_ms = rng.Uniform(200.0, 2500.0);
+  f.canary.auto_rollback = pick(2) == 0;
+  f.canary.bake_ms = rng.Uniform(300.0, 1500.0);
+  f.tick_ms = 25.0 * (1 + pick(3));
+  f.window_ms = f.tick_ms * (4 + pick(8));
+  f.slo.slo_latency_ms = rng.Uniform(4.0, 20.0);
+  f.seed = seed;
+
+  TraceLoadConfig& load = c.load;
+  load.seed = seed + 101;
+  load.duration_ms = rng.Uniform(2000.0, 5000.0);
+  load.base_rps = rng.Uniform(100.0, 700.0);
+  load.diurnal_amplitude = rng.Uniform(0.0, 0.5);
+  load.diurnal_period_ms = load.duration_ms;
+  load.deadline_ms = pick(2) == 0 ? 0.0 : rng.Uniform(10.0, 80.0);
+  load.model = "m";
+  if (pick(2) == 0) {
+    load.crowds.push_back({rng.Uniform(0.2, 0.6) * load.duration_ms,
+                           rng.Uniform(0.1, 0.3) * load.duration_ms,
+                           rng.Uniform(1.5, 4.0)});
+  }
+  switch (pick(3)) {
+    case 0:
+      break;  // untenanted
+    case 1:
+      load.tenant_mix = BalancedTenantMix(2 + pick(3));
+      break;
+    default:
+      load.tenant_mix = HotTenantMix(2 + pick(3), rng.Uniform(2.0, 6.0));
+      break;
+  }
+
+  ChaosScenario& sc = c.scenario;
+  sc.name = "random_" + std::to_string(seed);
+  sc.seed = seed * 31 + 7;
+  const int events = 1 + pick(3);
+  for (int e = 0; e < events; ++e) {
+    FleetFaultEvent ev;
+    ev.kind = static_cast<FaultKind>(pick(4));
+    ev.start_ms = rng.Uniform(0.1, 0.7) * load.duration_ms;
+    ev.duration_ms = rng.Uniform(0.05, 0.3) * load.duration_ms;
+    ev.fraction = rng.Uniform(0.3, 1.0);
+    ev.severity = rng.Uniform(1.0, 30.0);
+    sc.events.push_back(ev);
+  }
+  sc.background_crash_prob = pick(2) == 0 ? 0.0 : rng.Uniform(0.0, 0.002);
+  sc.drop_prob = pick(2) == 0 ? 0.0 : rng.Uniform(0.0, 0.05);
+  return c;
+}
+
+/// Runs \p c on a fresh fleet whose model is initialized from
+/// \p net_seed, at \p threads runtime threads.
+FleetReport RunFleetCase(const RandomFleetCase& c, uint64_t net_seed,
+                         int threads) {
+  RuntimeConfig::SetThreads(threads);
+  auto report = RunFleetWithNet(c.config, c.scenario, c.load, net_seed);
+  RuntimeConfig::SetThreads(1);
+  EXPECT_TRUE(report.ok()) << report.status().ToString();
+  return report.ok() ? std::move(report).value() : FleetReport();
+}
+
+// Conservation over random configs, fault schedules and loads: every
+// offered request is admitted, shed for exactly one reason, or routed
+// into a dead replica; every admitted or dead-routed request ends as
+// exactly one completion or miss; the tenant rows and the windows each
+// sum to the totals. The export is byte-identical at DLSYS_THREADS 1
+// vs 8 and under a differently initialized model, so no fleet decision
+// reads an engine output.
+TEST(FleetPropertyTest, RandomScenariosConserveRequestsAndReplay) {
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const RandomFleetCase c = DrawFleetCase(seed);
+    ASSERT_TRUE(ValidateFleetConfig(c.config).ok());
+    const FleetReport r = RunFleetCase(c, 3, 1);
+    const int64_t shed = r.shed_queue_full + r.shed_deadline +
+                         r.shed_draining + r.shed_unhealthy;
+    EXPECT_GT(r.offered, 0);
+    EXPECT_EQ(r.offered, r.admitted + shed + r.failed_dead_replica);
+    EXPECT_EQ(r.admitted + r.failed_dead_replica, r.completed_ok + r.missed);
+
+    if (!c.load.tenant_mix.empty()) {
+      int64_t offered = 0, admitted = 0, ok = 0, missed = 0, tshed = 0;
+      for (const auto& [tenant, row] : r.tenants) {
+        // A tenant's dead-replica failures are neither admitted nor shed.
+        EXPECT_GE(row.offered, row.admitted + row.shed) << tenant;
+        offered += row.offered;
+        admitted += row.admitted;
+        ok += row.completed_ok;
+        missed += row.missed;
+        tshed += row.shed;
+      }
+      EXPECT_EQ(offered, r.offered);
+      EXPECT_EQ(admitted, r.admitted);
+      EXPECT_EQ(ok, r.completed_ok);
+      EXPECT_EQ(missed, r.missed);
+      EXPECT_EQ(tshed, shed);
+    } else {
+      EXPECT_TRUE(r.tenants.empty());
+    }
+
+    int64_t w_offered = 0, w_ok = 0, w_missed = 0, w_shed = 0;
+    for (const FleetWindow& w : r.windows) {
+      w_offered += w.offered;
+      w_ok += w.completed_ok;
+      w_missed += w.missed;
+      w_shed += w.shed;
+    }
+    EXPECT_EQ(w_offered, r.offered);
+    EXPECT_EQ(w_ok, r.completed_ok);
+    EXPECT_EQ(w_missed, r.missed);
+    EXPECT_EQ(w_shed, shed);
+
+    const std::string json = FleetReportJson(r);
+    EXPECT_EQ(json, FleetReportJson(RunFleetCase(c, 3, 8)))
+        << "export differs between DLSYS_THREADS 1 and 8";
+    EXPECT_EQ(json, FleetReportJson(RunFleetCase(c, 99, 1)))
+        << "export depends on the model's weights";
+  }
 }
 
 }  // namespace

@@ -293,15 +293,18 @@ TEST(AdmissionTest, StructuredShedReasonsAndNames) {
   AdmissionInputs in;
   in.prospective_batch = 1;
   in.deadline_budget_ms = 100.0;
-  EXPECT_EQ(DecideAdmission(config, in), AdmissionDecision::kAdmit);
+  const auto decide = [&] {
+    return DecideAdmission(config.queue_capacity, config.cost, in);
+  };
+  EXPECT_EQ(decide(), AdmissionDecision::kAdmit);
   in.draining = true;
   in.queue_depth = 2;
-  EXPECT_EQ(DecideAdmission(config, in), AdmissionDecision::kShedDraining);
+  EXPECT_EQ(decide(), AdmissionDecision::kShedDraining);
   in.draining = false;
-  EXPECT_EQ(DecideAdmission(config, in), AdmissionDecision::kShedQueueFull);
+  EXPECT_EQ(decide(), AdmissionDecision::kShedQueueFull);
   in.queue_depth = 0;
   in.deadline_budget_ms = 5.0;  // modeled 10ms service can never make it
-  EXPECT_EQ(DecideAdmission(config, in), AdmissionDecision::kShedDeadline);
+  EXPECT_EQ(decide(), AdmissionDecision::kShedDeadline);
 }
 
 TEST(ServerTest, DrainingShedsNewWorkButFinishesQueuedWork) {
